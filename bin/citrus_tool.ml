@@ -1231,7 +1231,8 @@ let torture_cmd =
       value & flag
       & info [ "defer" ]
           ~doc:
-            "Writers free through the deferred-reclamation queue (exercises \
+            "Writers free through a reclaimer bag each writer drains \
+             inline, one grace period per batch (exercises \
              $(b,defer.flush)).")
   in
   let use_poll =

@@ -30,6 +30,12 @@
       same field loses concurrent updates — use [fetch_and_add] or
       [compare_and_set]. Reader slot words and the lock-held [gp_ctr]
       flip are exempt: their get-then-set is single-writer by protocol.
+   7. [Sanitizer.on_defer] / [on_reclaim] — the shadow lifecycle of a
+      retirement — only in lib/rcu/reclaimer.ml (the one retire path),
+      lib/rcu/torture.ml (its inline-synchronize writer modes) and
+      lib/baselines/rb_rcu.ml. Anywhere else they mark a second,
+      hand-rolled retire path growing back; retire through
+      [Reclaimer.call_rcu ?shadow] instead.
 
    Exits 1 with file:line diagnostics on any violation, silently 0
    otherwise. *)
@@ -80,6 +86,18 @@ let wall_clock_idents = [ "gettimeofday"; "time"; "now_ns"; "now" ]
 let rmw_fields =
   [ "gp_seq"; "gp_completed"; "gp_started"; "scanning"; "serving"; "tags" ]
 
+(* Rule 7: the sanitizer's retirement transitions and the files allowed
+   to drive them (the sanitizer itself defines them). *)
+let retire_transitions = [ "on_defer"; "on_reclaim" ]
+
+let retire_owners =
+  [
+    "lib/rcu/reclaimer.ml";
+    "lib/rcu/torture.ml";
+    "lib/baselines/rb_rcu.ml";
+    "lib/sanitizer/sanitizer.ml";
+  ]
+
 (* --- parsetree rules --- *)
 
 (* Module components of a dotted path: all but the final value/type name
@@ -109,6 +127,17 @@ let check_modules ~file ~all (lid : Longident.t Location.loc) =
       err ~file ~line:(line_of lid.loc)
         "Obj.magic: unsound casts are forbidden in lib/"
   | _ -> ()
+
+let check_retire ~file (lid : Longident.t Location.loc) =
+  let name = Longident.last lid.txt in
+  if
+    List.mem name retire_transitions
+    && not (List.exists (Filename.check_suffix file) retire_owners)
+  then
+    err ~file ~line:(line_of lid.loc)
+      "Sanitizer.%s outside the reclaimer: a second retire path — retire \
+       through Reclaimer.call_rcu ?shadow instead"
+      name
 
 (* Protected-field accesses anywhere inside [e] (the arguments of an
    Atomic write): each is a violation unless [file] owns the field. *)
@@ -240,7 +269,9 @@ let check_file file =
           expr =
             (fun it e ->
               (match e.pexp_desc with
-              | Pexp_ident lid -> check_modules ~file ~all:false lid
+              | Pexp_ident lid ->
+                  check_modules ~file ~all:false lid;
+                  check_retire ~file lid
               | Pexp_new lid -> check_modules ~file ~all:false lid
               | Pexp_apply
                   ({ pexp_desc = Pexp_ident fn; pexp_loc; _ }, args) -> (

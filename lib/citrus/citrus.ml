@@ -15,9 +15,9 @@ let fault_delete_window = Fault.register "citrus.delete.window"
 
 (* Fires at every node visit of the wait-free search, while the traversal
    holds only the read lock (never node locks, so a [raise] action unwinds
-   cleanly through the Fun.protect). Parking a reader mid-traversal with a
-   delay action is how the mutation suite makes a broken grace period
-   reclaim the very node the reader stands on. *)
+   cleanly through get's exception handler). Parking a reader
+   mid-traversal with a delay action is how the mutation suite makes a
+   broken grace period reclaim the very node the reader stands on. *)
 let fault_read_step = Fault.register "citrus.read.step"
 
 (* Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md and
@@ -54,7 +54,6 @@ let left = Citrus_proto.left
 let right = Citrus_proto.right
 
 module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
-  module Defer = Repro_rcu.Defer.Make (R)
   module Rec = Repro_rcu.Reclaimer.Make (R)
 
   (* One *ordered* lockdep class for every node lock of every tree built
@@ -88,9 +87,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     tags : 'v tag_array; (* per-child ABA tags, length 2 *)
     mutable marked : bool; (* accessed only under [lock] *)
     lock : Spinlock.t;
-    mutable reclaimed : bool;
-        (* Set by deferred reclamation one grace period after the node is
-           unlinked; a reader observing it has found a use-after-free. *)
     mutable shadow : San.record option;
         (* Reclamation-sanitizer record, attached by [retire] while the
            sanitizer is armed; None otherwise. *)
@@ -110,18 +106,20 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   type 'v t = {
     root : 'v node;
     rcu : R.t;
-    reclamation : bool;
+    armed : bool;
+        (* The sanitizer was armed at [create]: unlinked nodes are retired
+           through [reclaimer] with shadow records, and the successor walk
+           runs inside a read-side critical section. *)
     reclaimer : Rec.t option;
-        (* Some iff the tree was created under the call_rcu discipline:
-           two-child deletes hand their grace-period-then-unlink
-           continuation to this background domain instead of blocking
-           inline, and [retire] (with [reclamation]) routes through its
-           bags instead of [Defer]. *)
+        (* Some iff [armed] or call_rcu. A call_rcu tree's reclaimer has a
+           background domain, to which two-child deletes hand their
+           grace-period-then-unlink continuation instead of blocking
+           inline; otherwise each handle drains its own bag inline. *)
     self_bag : Rec.producer option;
-        (* Retired bag owned by the reclaimer domain itself: unlink
-           continuations running there retire the unlinked successor
-           into it (a fresh post-unlink cookie) instead of blocking the
-           reclaimer on a second grace period. *)
+        (* Some iff call_rcu: the retired bag owned by the reclaimer
+           domain itself. Unlink continuations running there retire the
+           unlinked successor into it (a fresh post-unlink cookie)
+           instead of blocking the reclaimer on a second grace period. *)
     san : San.domain;
     hooks : hooks;
     group : Stats.group;
@@ -130,7 +128,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     deletes_one_child : Stats.t;
     deletes_two_children : Stats.t;
     reclaimed_nodes : Stats.t;
-    use_after_reclaim : Stats.t;
     rotations : Stats.t;
     handle_ids : int Atomic.t;
   }
@@ -139,9 +136,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     tree : 'v t;
     rt : R.thread;
     id : int;
-    defer : Defer.t option;
-        (* Some iff the tree has reclamation on and no reclaimer (the
-           inline-synchronize configuration) *)
     bag : Rec.producer option; (* Some iff the tree has a reclaimer *)
   }
 
@@ -153,20 +147,26 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       tags = [| Atomic.make 0; Atomic.make 0 |];
       marked = false;
       lock = Spinlock.create ~cls:node_cls ();
-      reclaimed = false;
       shadow = None;
     }
 
-  let create ?max_threads ?(reclamation = false)
+  let create ?max_threads
       ?(call_rcu = Repro_rcu.Reclaimer.call_rcu_enabled ()) () =
     let infinity_node = new_node Pos_inf None in
     let root = new_node Neg_inf None in
     Atomic.set root.children.(right) (Some infinity_node);
     let rcu = R.create ?max_threads () in
-    (* The reclaimer is per tree instance (one background domain per
-       [R.t]); [shutdown] stops and joins it. *)
-    let reclaimer = if call_rcu then Some (Rec.create rcu) else None in
-    let self_bag = Option.map Rec.new_producer reclaimer in
+    let armed = San.enabled () in
+    (* The reclaimer is per tree instance (at most one background domain
+       per [R.t]); [shutdown] stops and joins it. *)
+    let reclaimer =
+      if call_rcu then Some (Rec.create rcu)
+      else if armed then Some (Rec.create ~background:false rcu)
+      else None
+    in
+    let self_bag =
+      if call_rcu then Option.map Rec.new_producer reclaimer else None
+    in
     let group = Stats.group () in
     (* Bind counters outside the record literal: field evaluation order is
        unspecified, and the group dumps in creation order. *)
@@ -175,12 +175,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     let deletes_one_child = Stats.counter group "deletes_one_child" in
     let deletes_two_children = Stats.counter group "deletes_two_children" in
     let reclaimed_nodes = Stats.counter group "reclaimed" in
-    let use_after_reclaim = Stats.counter group "use_after_reclaim" in
     let rotations = Stats.counter group "rotations" in
     {
       root;
       rcu;
-      reclamation;
+      armed;
       reclaimer;
       self_bag;
       san = San.create ("citrus/" ^ R.name);
@@ -197,7 +196,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       deletes_one_child;
       deletes_two_children;
       reclaimed_nodes;
-      use_after_reclaim;
       rotations;
       handle_ids = Atomic.make 0;
     }
@@ -207,24 +205,21 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       tree;
       rt = R.register tree.rcu;
       id = Atomic.fetch_and_add tree.handle_ids 1;
-      defer =
-        (if tree.reclamation && Option.is_none tree.reclaimer then
-           Some (Defer.create tree.rcu)
-         else None);
       bag = Option.map Rec.new_producer tree.reclaimer;
     }
 
   let unregister h =
-    (* [drain], not [flush]: reclamation callbacks may retire further
-       nodes, and a queue shorter than the batch must not leak when the
-       thread leaves. *)
-    (match h.defer with Some d -> Defer.drain d | None -> ());
+    (* An inline bag shorter than the batch must not leak when the thread
+       leaves (a background bag is drained by the reclaimer domain). *)
+    (match (h.tree.reclaimer, h.bag) with
+    | Some rc, Some bag -> Rec.drain rc bag
+    | _ -> ());
     R.unregister h.rt
 
   (* Armed sanitizer: give the node a shadow record now, so every
-     traversal that touches it from here on is checked. The deferral
-     machinery carries it through Deferred (at enqueue) and Reclaimed
-     (when the callback runs after its grace period). *)
+     traversal that touches it from here on is checked. The reclaimer
+     carries it through Deferred (at enqueue) and Reclaimed (when the
+     callback runs after its grace period). *)
   let new_shadow t node =
     if San.enabled () then begin
       let s = San.register t.san in
@@ -233,29 +228,21 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     end
     else None
 
-  (* Retire an unlinked node: one grace period later no reader can hold it,
-     so it is safe to poison (standing in for free()). A reader that later
-     observes the poison has found a use-after-free — the detection scheme
-     behind the reclamation tests. With a reclaimer the poison is handed to
-     [call_rcu] (background free); otherwise to the handle's [Defer] queue
-     (the retiring thread pays the grace period at flush). *)
+  (* Retire an unlinked node into [bag]: one grace period later no reader
+     can hold it, so the callback — standing in for free() — marks its
+     shadow Reclaimed; a reader that touches it afterwards is a
+     use-after-free the sanitizer reports. Under the GC a retirement is
+     observable only to the sanitizer, so a disarmed tree retires
+     nothing. *)
+  let retire_into t rc bag id node =
+    Rec.call_rcu rc bag ?shadow:(new_shadow t node) (fun () ->
+        Stats.incr t.reclaimed_nodes id)
+
   let retire h node =
     let t = h.tree in
-    let id = h.id in
-    let poison () =
-      node.reclaimed <- true;
-      Stats.incr t.reclaimed_nodes id
-    in
     match (t.reclaimer, h.bag) with
-    | Some rc, Some bag when t.reclamation ->
-        let shadow = new_shadow t node in
-        Rec.call_rcu rc bag ?shadow poison
-    | _ -> (
-        match h.defer with
-        | None -> ()
-        | Some d ->
-            let shadow = new_shadow t node in
-            Defer.defer d ?shadow poison)
+    | Some rc, Some bag when t.armed -> retire_into t rc bag h.id node
+    | _ -> ()
 
   (* Restarts are double-booked: in the tree's own stats group (per-tree
      diagnostics) and in the process-global metrics/trace (workload-level
@@ -278,11 +265,12 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   (* Sanitizer probes, one per lock discipline at the probing site:
      [san_check] raises (traversals holding only the read lock, released
-     by Fun.protect on the way out), [san_note] records without raising
-     (the successor walk runs while delete holds node locks a raise would
-     leak), [san_observe] counts the touch only (post-lock validation,
-     where reaching a retired node is legal — validate is specified to
-     return false on it). All are no-ops unless the sanitizer is armed. *)
+     by get's exception handler on the way out), [san_note] records
+     without raising (the successor walk runs while delete holds node
+     locks a raise would leak), [san_observe] counts the touch only
+     (post-lock validation, where reaching a retired node is legal —
+     validate is specified to return false on it). All are no-ops unless
+     the sanitizer is armed. *)
   let san_check h n =
     match n.shadow with
     | None -> ()
@@ -332,9 +320,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         | None -> continue := false
         | Some c ->
             if fault_on then Fault.inject fault_read_step;
-            (* Use-after-free detector: a reclaimed node must never be
-               seen inside a read-side critical section (see [retire]). *)
-            if c.reclaimed then Stats.incr t.use_after_reclaim h.id;
             if san_on then san_check h c;
             let cmp = compare_skey c.key skey in
             if cmp = 0 then continue := false
@@ -415,9 +400,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      of the right subtree of curr. The paper performs it outside any
      read-side critical section — the keys of traversed nodes never
      influence the direction, and validation catches staleness. That is
-     only memory-safe without reclamation; when deferred reclamation is on
-     we wrap the walk in a read-side critical section so a concurrent
-     grace period cannot retire nodes under our feet. *)
+     only memory-safe without reclamation; on an armed tree, which retires
+     unlinked nodes, we wrap the walk in a read-side critical section so a
+     concurrent grace period cannot reclaim nodes under our feet. *)
   let find_successor h curr =
     let rec down prev_succ succ =
       (* The caller (delete) holds node locks across this walk, so the
@@ -433,7 +418,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       | None -> assert false (* caller checked curr has two children *)
       | Some first -> down curr first
     in
-    if not h.tree.reclamation then walk ()
+    if not h.tree.armed then walk ()
     else begin
       R.read_lock h.rt;
       Fun.protect ~finally:(fun () -> R.read_unlock h.rt) walk
@@ -516,7 +501,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                 tags = [| Atomic.make 0; Atomic.make 0 |];
                 marked = false;
                 lock = Spinlock.create ~cls:node_cls ();
-                reclaimed = false;
                 shadow = None;
               }
             in
@@ -575,32 +559,17 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                     Spinlock.adopt prev.lock ~order:0;
                     Spinlock.release prev.lock;
                     (* succ only became unreachable at the unlink above,
-                       so its retirement cookie must postdate it. On the
-                       reclaimer domain, re-enqueue into the
-                       reclaimer-owned bag (single-producer discipline);
-                       on a fallback path (bag full, reclaimer dead or
-                       stopping — this closure then ran on the retiring
-                       updater or the stopping thread), free inline
-                       after the fresh grace period. *)
-                    if t.reclamation then begin
-                      let shadow = new_shadow t succ in
-                      let poison () =
-                        succ.reclaimed <- true;
-                        Stats.incr t.reclaimed_nodes h.id
-                      in
-                      if Rec.on_reclaimer_domain rc then
-                        Rec.call_rcu rc self_bag ?shadow poison
-                      else begin
-                        (match shadow with
-                        | Some s -> San.on_defer s ~gp:(R.gp_cookie t.rcu)
-                        | None -> ());
-                        R.cond_synchronize t.rcu (R.read_gp_seq t.rcu);
-                        (match shadow with
-                        | Some s -> San.on_reclaim ~gp:(R.gp_cookie t.rcu) s
-                        | None -> ());
-                        poison ()
-                      end
-                    end);
+                       so its retirement cookie must postdate it. Retire
+                       into a bag this domain may produce into: the
+                       reclaimer-owned bag on the reclaimer domain; off
+                       it, this closure ran on a fallback path — on the
+                       retiring updater (bag full, reclaimer dead), which
+                       owns [bag], or with the reclaimer stopping, where
+                       call_rcu frees inline without touching a bag. *)
+                    if t.armed then
+                      retire_into t rc
+                        (if Rec.on_reclaimer_domain rc then self_bag else bag)
+                        h.id succ);
                 (* curr became unreachable at the copy's publication, so
                    its cookie (taken inside [retire], i.e. now) already
                    covers every reader that could hold it. *)
@@ -704,7 +673,10 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       | None -> ()
       | Some n ->
           if n.marked then fail "reachable node is marked";
-          if n.reclaimed then fail "reachable node was reclaimed";
+          (match Option.map San.state n.shadow with
+          | Some (San.Deferred _ | San.Reclaimed _) ->
+              fail "reachable node was retired"
+          | Some San.Live | None -> ());
           if Spinlock.is_locked n.lock then fail "reachable node is locked";
           (match lo with
           | Some lo when compare_skey n.key lo <= 0 ->
@@ -743,6 +715,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   let shutdown t =
     match t.reclaimer with Some rc -> Rec.stop rc | None -> ()
+
+  let sanitizer t = t.san
 
   let reclaim_pressure t =
     match t.reclaimer with None -> 0.0 | Some rc -> Rec.pressure rc

@@ -53,38 +53,36 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
   type 'v handle
   (** Per-domain access handle (carries the RCU thread state). *)
 
-  val create :
-    ?max_threads:int -> ?reclamation:bool -> ?call_rcu:bool -> unit -> 'v t
+  val create : ?max_threads:int -> ?call_rcu:bool -> unit -> 'v t
   (** An empty tree whose RCU domain admits up to [max_threads] registered
       domains (default 128).
 
-      [reclamation] (default false) enables the paper's "future work"
-      integration of RCU-based memory reclamation: every node removed by a
-      delete is {e retired} through a per-handle deferred queue and
-      poisoned one grace period after it becomes unreachable — the moment a
-      C implementation would [free] it. Searches check the poison flag, so
-      the ["use_after_reclaim"] statistic counts would-be use-after-free
-      accesses (it must stay 0; the test-suite asserts this under stress).
-      With reclamation on, the successor walk of a two-child delete runs
-      inside a read-side critical section — the paper omits this because it
-      never frees memory during runs.
-
-      When the reclamation sanitizer ([Repro_sanitizer.Sanitizer]) is
-      armed, retired nodes additionally carry shadow records and every
-      traversal step checks them: a search that touches a node after its
-      grace-period-protected reclamation raises [Sanitizer.Violation] out
-      of [contains]/[mem] (read sections unwind cleanly; node-lock-holding
-      paths record the violation without raising). See ROBUSTNESS.md.
+      Retirement — the paper's "future work" integration of RCU-based
+      memory reclamation — is armed iff the reclamation sanitizer
+      ([Repro_sanitizer.Sanitizer]) is enabled when [create] runs: under
+      the GC a retirement is observable only to the sanitizer. An armed
+      tree gives every node a delete or rotation unlinks a shadow record
+      and retires it through a [Repro_rcu.Reclaimer] bag; one grace
+      period later the callback marks it Reclaimed (the moment a C
+      implementation would [free] it) and counts it in the ["reclaimed"]
+      statistic. Every traversal step checks the shadows: a search that
+      touches a node after its reclamation raises [Sanitizer.Violation]
+      out of [contains]/[mem] (read sections unwind cleanly;
+      node-lock-holding paths record the violation without raising). The
+      successor walk of a two-child delete then runs inside a read-side
+      critical section — the paper omits this because it never frees
+      memory during runs. See ROBUSTNESS.md.
 
       [call_rcu] (default {!Repro_rcu.Reclaimer.call_rcu_enabled}) spawns
       a background reclaimer domain for this tree and takes the
       grace-period wait off the updater hot path: a two-child [delete]
       returns as soon as the successor copy is published, handing the
       wait-then-unlink continuation (with the node locks still held, so
-      the protocol other threads observe is unchanged) to the reclaimer;
-      [retire]d nodes likewise go to an epoch-tagged bag instead of a
-      blocking deferred queue. A tree created with [call_rcu:true] owns a
-      domain and must be {!shutdown}. *)
+      the protocol other threads observe is unchanged) to the reclaimer,
+      and retired nodes are freed there too. Without it, an armed tree's
+      handles drain their own bags inline, one grace period per batch,
+      and a disarmed tree allocates no bag at all. A tree created with
+      [call_rcu:true] owns a domain and must be {!shutdown}. *)
 
   val register : 'v t -> 'v handle
   (** Register the calling domain. One handle per domain per tree. *)
@@ -128,20 +126,27 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
 
   val check_invariants : 'v t -> unit
   (** Verify in a quiescent state: strict BST order with sentinel bounds, no
-      reachable marked node, no duplicate keys, all node locks free.
+      reachable marked or retired (shadow [Deferred] or [Reclaimed]) node,
+      no duplicate keys, all node locks free.
       @raise Invariant_violation otherwise. *)
 
   val stats : 'v t -> (string * int) list
   (** Operation counters: restarts, two-child deletes, one-child deletes,
-      inserts, reclaimed nodes, use-after-reclaim detections (must be 0),
-      maintenance rotations, and grace periods. A [call_rcu] tree adds
-      its reclaimer's counters (reclaim_batches, reclaimer_crashes,
-      reclaim_backpressure, reclaim_pending). *)
+      inserts, reclaimed nodes (retirement callbacks run; 0 unless
+      armed), maintenance rotations, and grace periods. A tree with a
+      reclaimer ([call_rcu], or armed) adds its counters
+      (reclaim_batches, reclaimer_crashes, reclaim_backpressure,
+      reclaim_pending). *)
+
+  val sanitizer : 'v t -> Repro_sanitizer.Sanitizer.domain
+  (** The shadow-record namespace of the tree's retired nodes. After every
+      handle unregistered and {!shutdown}, [Sanitizer.audit] on it must
+      be empty: every retirement ran. *)
 
   val reclaim_pressure : 'v t -> float
   (** Backlog pressure of the tree's call_rcu reclaimer
-      ([Repro_rcu.Reclaimer.Make.pressure]): 0.0 without a reclaimer or
-      when idle, 1.0 when the fullest retired bag reaches its watermark.
+      ([Repro_rcu.Reclaimer.Make.pressure]): 0.0 without one or when
+      idle, 1.0 when the fullest retired bag reaches its watermark.
       Racy snapshot, safe to poll concurrently — the serving layer's
       admission control reads it per drain batch (SERVING.md). *)
 
@@ -164,8 +169,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
       validation. Rotations may run concurrently with any mix of
       operations, from a dedicated maintenance domain or opportunistically.
 
-      The maintenance walk reads the tree without locks; with reclamation
-      enabled it may traverse already-retired nodes, which is safe under
+      The maintenance walk reads the tree without locks; on an armed tree
+      it may traverse already-retired nodes, which is safe under
       the GC (a C port would protect the walk with hazard pointers). *)
 
   val maintenance_pass : 'v handle -> int

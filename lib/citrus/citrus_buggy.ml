@@ -6,7 +6,7 @@
 
 (* The wrapped flavour answers every grace-period question with "already
    elapsed": [synchronize] returns immediately and [poll] is always true,
-   so [Defer] elides every wait and retired nodes are reclaimed while
+   so the reclaimer elides every wait and retired nodes are reclaimed while
    pre-existing readers can still reach them — the exact bug class the
    two-child delete's [synchronize] (paper, Section 4) exists to prevent.
    Read-side tracking is inherited unchanged, which matters: the readers

@@ -6,8 +6,8 @@
    [Sanitizer.Violation] within a bounded number of attempts:
 
    (a) {!skip_sync}        — Citrus over {!Citrus_buggy.Broken_sync}:
-       every [synchronize] is a no-op, so two-child deletes (and all
-       deferred reclamation) free nodes readers can still reach;
+       every [synchronize] is a no-op, so two-child deletes (and every
+       inline reclaimer drain) free nodes readers can still reach;
    (b) {!urcu_single_flip} — [Urcu.Buggy.single_flip]: the writer flips
        the phase once instead of twice, so a reader whose phase snapshot
        went stale inside its enter window is missed by every other
@@ -53,8 +53,7 @@ module type TREE = sig
   type 'v t
   type 'v handle
 
-  val create :
-    ?max_threads:int -> ?reclamation:bool -> ?call_rcu:bool -> unit -> 'v t
+  val create : ?max_threads:int -> ?call_rcu:bool -> unit -> 'v t
 
   val register : 'v t -> 'v handle
   val unregister : 'v handle -> unit
@@ -62,6 +61,7 @@ module type TREE = sig
   val insert : 'v handle -> int -> 'v -> bool
   val delete : 'v handle -> int -> bool
   val shutdown : 'v t -> unit
+  val sanitizer : 'v t -> San.domain
 end
 
 module Buggy_epoch = Citrus_buggy.Make (Citrus_int.Ord_int) (Repro_rcu.Epoch_rcu)
@@ -80,7 +80,7 @@ let with_armed ~seed f =
 
 (* One round of the Citrus hunt: [readers] domains sweep lookups over a
    small key range while the main domain churns delete/insert on every
-   key — with reclamation on, each delete retires nodes, and with broken
+   key — on the armed tree each delete retires nodes, and with broken
    grace periods those nodes are reclaimed under the readers' feet. The
    [citrus.read.step] fault parks readers mid-traversal so the reclaim
    lands while the parked reader still holds the node. Returns the
@@ -88,7 +88,7 @@ let with_armed ~seed f =
 let citrus_round ?(call_rcu = false) (module T : TREE) ~seed ~keys ~rounds
     ~readers =
   let before = San.violations () in
-  let t = T.create ~reclamation:true ~call_rcu () in
+  let t = T.create ~call_rcu () in
   let stop = Atomic.make false in
   let h0 = T.register t in
   for k = 0 to keys - 1 do
@@ -251,9 +251,12 @@ let all ?seed ?attempts () =
    stops at the first [Lockdep.Violation]: a caught violation leaves the
    involved node locks (deliberately) wedged, so continuing would only
    report echoes of the same bug. The tree is discarded; the caller
-   resets lockdep's held-stack state afterwards. *)
-let lockdep_round (module T : TREE) ~reclamation =
-  let t = T.create ~reclamation () in
+   resets lockdep's held-stack state afterwards. Returns the sanitizer
+   violations plus leaked retirements, both 0 unless the sanitizer was
+   armed (the tree then retires what it unlinks). *)
+let lockdep_round (module T : TREE) =
+  let before = San.violations () in
+  let t = T.create () in
   let h = T.register t in
   (try
      ignore (T.insert h 2 2);
@@ -268,7 +271,9 @@ let lockdep_round (module T : TREE) ~reclamation =
   (* Read-side nesting is always unwound by the time a violation
      propagates here (Fun.protect in the update paths), so unregistering
      is safe even after a catch. *)
-  T.unregister h
+  T.unregister h;
+  T.shutdown t;
+  San.violations () - before + List.length (San.audit (T.sanitizer t))
 
 (* Arm lockdep around one clean-slate round with [set_bug] switched on,
    restoring both; the count is a delta off a freshly reset validator. *)
@@ -284,7 +289,7 @@ let lockdep_hunt ~mutant ~set_bug =
         Lockdep.reset ())
       (fun () ->
         set_bug true;
-        lockdep_round (module Citrus_int.Epoch) ~reclamation:false;
+        ignore (lockdep_round (module Citrus_int.Epoch));
         Lockdep.violations ())
   in
   { mutant; attempts = 1; violations = v; caught = v > 0 }
@@ -307,10 +312,10 @@ let lockdep_unbalanced_unlock () =
 let lockdep_all () =
   [ lockdep_abba (); lockdep_sync_in_read (); lockdep_unbalanced_unlock () ]
 
-(* Clean lockdep-armed rounds over all three flavours, with reclamation
-   on so the successor walk's read section, the deferred queues and the
-   drain-time grace periods are all validated too: the full locking
-   protocol must be silent. *)
+(* Clean lockdep-armed rounds over all three flavours, sanitizer armed so
+   the successor walk's read section, the retired bags and the drain-time
+   grace periods are all validated too: the full locking protocol must be
+   silent, and so must the sanitizer. *)
 let lockdep_controls () =
   let flavoured name (module T : TREE) =
     Lockdep.reset ();
@@ -322,8 +327,8 @@ let lockdep_controls () =
           if not was then Lockdep.disarm ();
           Lockdep.reset ())
         (fun () ->
-          lockdep_round (module T) ~reclamation:true;
-          Lockdep.violations ())
+          let san = with_armed ~seed:0 (fun () -> lockdep_round (module T)) in
+          Lockdep.violations () + san)
     in
     {
       mutant = "control:lockdep-" ^ name;

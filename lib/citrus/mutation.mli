@@ -21,8 +21,8 @@ val pp_result : result -> string
 
 val skip_sync : ?seed:int -> ?attempts:int -> unit -> result
 (** Mutant (a): Citrus over {!Citrus_buggy.Broken_sync} — [synchronize]
-    is a no-op, so the two-child delete's grace period (and all deferred
-    reclamation) is skipped and retired nodes are freed while parked
+    is a no-op, so the two-child delete's grace period (and every inline
+    reclaimer drain's) is skipped and retired nodes are freed while parked
     readers still hold them. *)
 
 val early_free : ?seed:int -> ?attempts:int -> unit -> result
@@ -76,5 +76,7 @@ val lockdep_all : unit -> result list
     be true. *)
 
 val lockdep_controls : unit -> result list
-(** Clean lockdep-armed rounds (reclamation on) over all three RCU
-    flavours; every [violations] must be 0. *)
+(** Clean lockdep-armed rounds over all three RCU flavours, with the
+    sanitizer armed too so the trees retire what they unlink; every
+    [violations] — lockdep violations plus sanitizer violations and
+    leaked retirements — must be 0. *)

@@ -62,8 +62,8 @@ val inject : t -> unit
 
 val fires : t -> bool
 (** The coin alone, for call sites that implement the fault themselves
-    (e.g. [Defer.flush]'s extra grace period). Counts a hit, and a fire
-    when true. *)
+    (e.g. the reclaimer's extra grace period at "defer.flush"). Counts a
+    hit, and a fire when true. *)
 
 val set : ?action:action -> string -> rate:float -> unit
 (** Arm point [name] to fire on [rate] of arrivals ([0] disarms; [1] fires

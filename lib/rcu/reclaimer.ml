@@ -1,29 +1,17 @@
-(* call_rcu for the user-space flavours: per-producer, epoch-tagged
-   retired bags drained by one background reclaimer domain per RCU
-   instance.
-
-   [Defer] (PR 3) batches retirements but still charges a grace period to
-   the *retiring* thread at every flush — the Citrus two-child delete,
-   and therefore every serving-layer updater behind it, blocks inline.
-   This module moves the wait off the hot path entirely, the
+(* call_rcu over per-producer, epoch-tagged retired bags — the one
+   deferred-reclamation path (contract in the .mli). A bag is a
+   single-producer ring of (callback, [read_gp_seq] cookie) entries,
+   freed after a grace period covering the cookie by the background
+   reclaimer domain or, inline, by the producer itself: the
    rcu_free/call_rcu discipline of the kernel and of oscarlab/versioning
-   (SNIPPETS.md §3): [call_rcu] appends the callback plus its
-   [read_gp_seq] cookie into the calling domain's bag — two atomic
-   stores, no synchronization — and the reclaimer domain polls
-   [poll]/[cond_synchronize] against each cookie and frees in batches.
+   (SNIPPETS.md §3).
 
-   Bounded memory: each bag holds at most [watermark] entries; a producer
-   that finds its bag full spins briefly (counted — the backpressure
-   signal) and then frees inline, so unbounded retirement degrades to the
-   old synchronous behaviour instead of OOMing.
-
-   Crash tolerance, shard-updater style (lib/server/shard_router.ml): the
-   reclaimer runs under an internal supervisor loop; a crash (injected
-   via the "rcu.reclaim.crash" fault point, or real) leaves the
-   gathered-but-unfreed remainder in [pending]/[pending_at], and the next
-   incarnation resumes from the cursor — a retired pointer is never
-   lost. Past [max_restarts] the reclaimer is declared dead, producers
-   fall back inline, and [stop] frees whatever remains. *)
+   Crash tolerance, shard-updater style (lib/server/shard_router.ml): a
+   crashed background incarnation leaves the gathered-but-unfreed
+   remainder in [pending]/[pending_at], and the next one resumes from the
+   cursor — a retired pointer is never lost. Past [max_restarts] the
+   reclaimer is declared dead, producers free inline, and [stop] frees
+   whatever remains. *)
 
 module Fault = Repro_fault.Fault
 module Metrics = Repro_sync.Metrics
@@ -100,6 +88,12 @@ end
    the crash-recovery test deterministic about not losing any. *)
 let fault_crash = Fault.register "rcu.reclaim.crash"
 
+(* Fault point: when it fires, an inline drain pays a second (redundant
+   but harmless) grace period — the "extra grace period" fault that
+   shakes out callers accidentally relying on drain count = grace-period
+   count. *)
+let fault_flush = Fault.register "defer.flush"
+
 (* How long a producer spins on a full bag before falling back to an
    inline free. Exponential backoff, so this bounds the wait at roughly a
    millisecond — long enough for a live reclaimer to make room, short
@@ -125,6 +119,7 @@ module Make (R : Rcu_intf.S) = struct
 
   type t = {
     rcu : R.t;
+    background : bool; (* a reclaimer domain drains the bags *)
     batch : int;
     capacity : int; (* per-bag watermark *)
     max_restarts : int;
@@ -152,9 +147,10 @@ module Make (R : Rcu_intf.S) = struct
   }
 
   let new_producer t =
+    let slots = if t.background then t.capacity else t.batch in
     let p =
       {
-        ring = Array.init t.capacity (fun _ -> Atomic.make None);
+        ring = Array.init slots (fun _ -> Atomic.make None);
         head = Atomic.make 0;
         tail = Atomic.make 0;
       }
@@ -185,22 +181,27 @@ module Make (R : Rcu_intf.S) = struct
      unlink continuation holds node locks, updaters convoy on them and
      stop retiring, so the bags stay nearly empty exactly when
      reclamation is most wedged. Racy snapshot; > 1.0 means saturated
-     (a stalled grace period, or a held-over batch on a full bag). *)
+     (a stalled grace period, or a held-over batch on a full bag). An
+     inline reclaimer has no backlog to report: its producers pay for
+     their grace periods as they retire, which throttles them directly. *)
   let pressure t =
-    let hot =
-      List.fold_left (fun acc p -> max acc (bag_depth p)) 0
-        (Atomic.get t.producers)
-    in
-    let held =
-      Array.length (Atomic.get t.pending) - Atomic.get t.pending_at
-    in
-    let base =
-      float_of_int (max 0 hot + max 0 held) /. float_of_int t.capacity
-    in
-    let since = Atomic.get t.blocked_since in
-    if since > 0 && Metrics.now_ns () - since > gp_stall_ns () then
-      base +. 1.0
-    else base
+    if not t.background then 0.0
+    else begin
+      let hot =
+        List.fold_left (fun acc p -> max acc (bag_depth p)) 0
+          (Atomic.get t.producers)
+      in
+      let held =
+        Array.length (Atomic.get t.pending) - Atomic.get t.pending_at
+      in
+      let base =
+        float_of_int (max 0 hot + max 0 held) /. float_of_int t.capacity
+      in
+      let since = Atomic.get t.blocked_since in
+      if since > 0 && Metrics.now_ns () - since > gp_stall_ns () then
+        base +. 1.0
+      else base
+    end
 
   (* Grace-period wait with stall bookkeeping: the first domain to block
      claims [blocked_since] (CAS from 0) and clears it when the wait
@@ -233,13 +234,27 @@ module Make (R : Rcu_intf.S) = struct
           Some it
     end
 
+  (* The seeded early-free mutant skips the wait — that free races
+     pre-existing readers, which is what the sanitizer catches. *)
+  let wait t cookie =
+    if not (Atomic.get early_free_bug) then timed_synchronize t cookie
+
+  (* The elision path: most items in a batch share (or trail) the first
+     item's grace period, so after one real wait the rest are satisfied
+     [poll]s. *)
   let free_item t it =
-    (* The elision path: most items in a batch share (or trail) the first
-       item's grace period, so after one real wait the rest are satisfied
-       [poll]s. The seeded early-free mutant skips the wait — that free
-       races pre-existing readers, which is what the sanitizer catches. *)
-    if not (Atomic.get early_free_bug) then timed_synchronize t it.cookie;
+    wait t it.cookie;
     it.run ()
+
+  let note_batch t ~depth n =
+    if Metrics.enabled () then begin
+      let s = Metrics.slot () in
+      Stats.incr Metrics.reclaim_batches s;
+      (* Depth sample, not a duration: mean/max backlog in snapshots. *)
+      Stats.Timer.record Metrics.reclaim_backlog s depth
+    end;
+    Atomic.incr t.batches;
+    Trace.record Reclaim n
 
   (* Free the held-over batch, advancing the cursor only after each item
      so a crash resumes exactly where this incarnation stopped. *)
@@ -277,15 +292,8 @@ module Make (R : Rcu_intf.S) = struct
       List.iter gather ps;
       Atomic.set t.pending (Array.of_list (List.rev !buf));
       Atomic.set t.pending_at 0;
-      if Metrics.enabled () then begin
-        let s = Metrics.slot () in
-        Stats.incr Metrics.reclaim_batches s;
-        (* Depth sample, not a duration: mean/max backlog in snapshots. *)
-        Stats.Timer.record Metrics.reclaim_backlog s depth
-      end;
       run_pending t;
-      Atomic.incr t.batches;
-      Trace.record Reclaim !n;
+      note_batch t ~depth !n;
       true
     end
 
@@ -319,7 +327,8 @@ module Make (R : Rcu_intf.S) = struct
     in
     go ()
 
-  let create ?batch:b ?watermark:w ?(max_restarts = 8) rcu =
+  let create ?batch:b ?watermark:w ?(max_restarts = 8) ?(background = true)
+      rcu =
     let batch = match b with Some b -> b | None -> batch () in
     let capacity = match w with Some w -> w | None -> watermark () in
     if batch <= 0 then invalid_arg "Reclaimer.create: batch must be positive";
@@ -328,6 +337,7 @@ module Make (R : Rcu_intf.S) = struct
     let t =
       {
         rcu;
+        background;
         batch;
         capacity;
         max_restarts;
@@ -344,17 +354,42 @@ module Make (R : Rcu_intf.S) = struct
         domain = None;
       }
     in
-    t.domain <- Some (Domain.spawn (supervise t));
+    if background then t.domain <- Some (Domain.spawn (supervise t));
     t
 
-  let inline_free t it =
-    timed_synchronize t it.cookie;
-    it.run ()
+  let push p it =
+    let i = Atomic.get p.head mod Array.length p.ring in
+    Atomic.set p.ring.(i) (Some it);
+    Atomic.incr p.head;
+    if Metrics.enabled () then
+      Stats.incr Metrics.call_rcu_enqueued (Metrics.slot ())
 
-  (* [shadow] threading mirrors [Defer.defer]: Deferred at enqueue (so a
-     double-retire is rejected with the bag untouched), Reclaimed when the
-     callback finally runs after its grace period — on whichever domain
-     frees it. *)
+  (* Inline drain, on the producer's own domain: empty the bag, wait once
+     on the newest cookie ([read_gp_seq] is monotonic, so it covers the
+     batch), run the batch oldest first. Callbacks that retire further
+     work land in the emptied bag for the next round. False on an empty
+     bag, which pays no grace period. *)
+  let flush t p =
+    let rec gather acc =
+      match take p with Some it -> gather (it :: acc) | None -> acc
+    in
+    match gather [] with
+    | [] -> false
+    | newest :: _ as newest_first ->
+        let depth = List.length newest_first in
+        wait t newest.cookie;
+        if Fault.enabled () && Fault.fires fault_flush then
+          R.synchronize t.rcu;
+        List.iter (fun it -> it.run ()) (List.rev newest_first);
+        note_batch t ~depth depth;
+        true
+
+  let drain t p = if not t.background then while flush t p do () done
+
+  (* [shadow] is Deferred at enqueue — before the bag is touched, so a
+     double retire is rejected with the bag unchanged — and Reclaimed when
+     the callback finally runs after its grace period, on whichever
+     domain frees it. *)
   let call_rcu t p ?shadow f =
     let f =
       match shadow with
@@ -366,13 +401,17 @@ module Make (R : Rcu_intf.S) = struct
             f ()
     in
     let it = { run = f; cookie = R.read_gp_seq t.rcu } in
-    if Atomic.get t.dead || Atomic.get t.stop then inline_free t it
+    if Atomic.get t.dead || Atomic.get t.stop then free_item t it
+    else if not t.background then begin
+      push p it;
+      if bag_depth p >= t.batch then ignore (flush t p)
+    end
     else begin
       let b = Backoff.create () in
       let rec admit spins engaged =
         if Atomic.get t.dead then begin
           if engaged then Atomic.incr t.backpressure;
-          inline_free t it
+          free_item t it
         end
         else if bag_depth p >= t.capacity then
           if spins >= backpressure_spins then begin
@@ -380,19 +419,15 @@ module Make (R : Rcu_intf.S) = struct
                than grow without bound (or deadlock a reclaimer callback
                retiring into its own full bag). *)
             Atomic.incr t.backpressure;
-            inline_free t it
+            free_item t it
           end
           else begin
             Backoff.once b;
             admit (spins + 1) true
           end
         else begin
-          let i = Atomic.get p.head mod Array.length p.ring in
-          Atomic.set p.ring.(i) (Some it);
-          Atomic.incr p.head;
-          if engaged then Atomic.incr t.backpressure;
-          if Metrics.enabled () then
-            Stats.incr Metrics.call_rcu_enqueued (Metrics.slot ())
+          push p it;
+          if engaged then Atomic.incr t.backpressure
         end
       in
       admit 0 false
@@ -400,11 +435,11 @@ module Make (R : Rcu_intf.S) = struct
 
   (* Teardown: close the gate (late retirers go inline), join the
      reclaimer — it exits once stopping and empty — then sweep whatever a
-     dead reclaimer left behind. After [stop] returns every retired
-     pointer has been freed, which is what the sanitizer's [audit] checks
-     in the lifecycle tests. Callers must have quiesced their producers
-     first (Citrus does this by stopping at tree-shutdown time, after all
-     handles unregistered). *)
+     dead reclaimer, or an undrained inline bag, left behind. After [stop]
+     returns every retired pointer has been freed, which is what the
+     sanitizer's [audit] checks in the lifecycle tests. Callers must have
+     quiesced their producers first (Citrus does this by stopping at
+     tree-shutdown time, after all handles unregistered). *)
   let stop t =
     if not (Atomic.get t.stop) then begin
       Atomic.set t.stop true;
@@ -414,7 +449,7 @@ module Make (R : Rcu_intf.S) = struct
       let rec sweep p =
         match take p with
         | Some it ->
-            inline_free t it;
+            free_item t it;
             sweep p
         | None -> ()
       in

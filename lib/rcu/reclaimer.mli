@@ -1,26 +1,23 @@
-(** call_rcu: background reclamation over epoch-tagged retired bags.
+(** call_rcu: deferred reclamation over epoch-tagged retired bags — the
+    one retire path of the repository.
 
-    Generalizes {!Defer} from "batch, then the retiring thread pays the
-    grace period" to the kernel's [call_rcu] discipline: {!call_rcu}
-    appends a callback plus its [read_gp_seq] cookie into the calling
-    domain's bag — no synchronization on the hot path beyond two atomic
-    stores — and a dedicated background reclaimer domain (one per RCU
-    instance, created by {!Make.create}) drains the bags by polling
-    [poll]/[cond_synchronize] against each cookie and freeing in batches.
-    Updaters therefore never wait for a grace period; see DESIGN.md,
-    "call_rcu and retired bags".
+    {!Make.call_rcu} appends a callback and its [read_gp_seq] cookie to
+    the calling domain's bag — two atomic stores — and the callback runs
+    only after a grace period covering the cookie. {!Make.create} chooses
+    who drains the bags: a background reclaimer domain (default), which
+    polls [poll]/[cond_synchronize] and frees in batches so updaters
+    never wait (DESIGN.md, "call_rcu and retired bags"); or, with
+    [~background:false], each producer itself, one grace period per
+    batch and no domain spawned.
 
-    Memory is bounded by a per-bag high watermark: a producer that finds
-    its bag full spins briefly (counted in {!Make.backpressure_waits})
-    and then frees inline, degrading to the synchronous path rather than
-    growing without bound.
-
-    The reclaimer is supervised like a serving-layer updater: a crash —
-    injectable at the "rcu.reclaim.crash" fault point — is caught,
-    counted, and the restarted incarnation resumes from the
-    gathered-but-unfreed remainder, so no retired pointer is ever lost.
-    Past the restart budget the reclaimer falls back to inline frees and
-    {!Make.stop} sweeps the leftovers. *)
+    A background bag is bounded by a watermark: a producer that finds it
+    full spins briefly (counted in {!Make.backpressure_waits}) and then
+    frees inline rather than grow without bound. The background domain
+    is supervised like a serving-layer updater: a crash — injectable at
+    the "rcu.reclaim.crash" fault point — is caught, counted, and the
+    restarted incarnation resumes from the gathered-but-unfreed
+    remainder. Past the restart budget producers fall back to inline
+    frees and {!Make.stop} sweeps the leftovers. *)
 
 (** {1 Process-global configuration}
 
@@ -77,20 +74,28 @@ end
 
 module Make (R : Rcu_intf.S) : sig
   type t
-  (** One reclaimer: a background domain plus the retired bags it
-      drains, bound to one [R.t] RCU instance. *)
+  (** One reclaimer: the retired bags, plus the background domain that
+      drains them unless created inline, bound to one [R.t] RCU
+      instance. *)
 
   type producer
   (** A single-producer retired bag. One per registered thread
       (Citrus allocates one per handle); never share one across
       domains. *)
 
-  val create : ?batch:int -> ?watermark:int -> ?max_restarts:int -> R.t -> t
-  (** Spawn the reclaimer domain. [batch] and [watermark] default to the
-      process-global {!val-batch}/{!val-watermark}; [max_restarts]
-      (default 8) bounds crash-restarts before the reclaimer declares
-      itself dead and producers fall back to inline frees. The caller
-      owns the domain and must {!stop} it. *)
+  val create :
+    ?batch:int -> ?watermark:int -> ?max_restarts:int -> ?background:bool ->
+    R.t -> t
+  (** A reclaimer over [rcu]. With [background] (default true) it spawns
+      the reclaimer domain, which the caller owns and must {!stop};
+      [batch] is then the number of callbacks freed per pass,
+      [watermark] the per-bag capacity, and [max_restarts] (default 8)
+      bounds crash-restarts before the reclaimer declares itself dead and
+      producers fall back to inline frees. With [~background:false] no
+      domain is spawned: each producer drains its own bag once it holds
+      [batch] entries (see {!call_rcu}), and [watermark]/[max_restarts]
+      are unused. [batch] and [watermark] default to the process-global
+      {!val-batch}/{!val-watermark}. *)
 
   val new_producer : t -> producer
   (** Register a retired bag with the reclaimer. Bags are never removed;
@@ -99,19 +104,32 @@ module Make (R : Rcu_intf.S) : sig
   val call_rcu : t -> producer -> ?shadow:Repro_sanitizer.Sanitizer.record
     -> (unit -> unit) -> unit
   (** [call_rcu t p f] schedules [f] to run after a grace period covering
-      every read-side critical section in progress now ([read_gp_seq] is
-      snapshotted here). Returns immediately; [f] runs on the reclaimer
-      domain — or on the calling domain when the bag is full past the
-      bounded backpressure wait, the reclaimer is dead, or [t] is
-      stopping (in each case after the grace period, never before).
-      [shadow] is carried through the sanitizer lifecycle exactly as in
-      [Defer.defer]: Deferred here, Reclaimed when [f] runs. Must be
-      called outside any read-side critical section (the inline fallback
-      may synchronize). *)
+      every read-side critical section in progress now. Background: it
+      returns at once and [f] runs on the reclaimer domain — or here, after
+      the grace period, when the bag is full past the backpressure wait,
+      the reclaimer is dead, or [t] is stopping. Inline: the call that
+      fills [p]'s bag to [batch] drains it — one [cond_synchronize] on the
+      newest cookie (elided if a grace period already covered it), then
+      the callbacks in FIFO order.
+
+      [shadow] (passed only while the sanitizer is armed) is marked
+      [Deferred] here — a double retire raises [Sanitizer.Violation]
+      ([Double_free]) before the bag is touched — and [Reclaimed] when [f]
+      runs. Call outside any read-side critical section (a drain or
+      fallback may synchronize). *)
+
+  val drain : t -> producer -> unit
+  (** Inline reclaimer: run everything in [p]'s bag after its grace
+      period, repeating until the bag stays empty — callbacks that retire
+      further work into [p] run too. An empty bag pays no grace period.
+      Call at thread teardown so a bag shorter than [batch] is never
+      leaked. Background reclaimer: no-op (its domain drains [p], and
+      {!stop} sweeps it). Call only from [p]'s own domain. *)
 
   val stop : t -> unit
   (** Drain every bag (freeing after each item's grace period), join the
-      reclaimer domain, and sweep anything a dead reclaimer left behind.
+      reclaimer domain if there is one, and sweep anything a dead
+      reclaimer or an undrained inline bag left behind.
       After [stop] returns, every callback ever passed to {!call_rcu}
       has run — the sanitizer [audit] of a stopped reclaimer's shadows
       reports zero leaked deferrals. Idempotent. Producers must be
@@ -130,12 +148,15 @@ module Make (R : Rcu_intf.S) : sig
       watermark (producer backpressure about to engage) — plus 1.0
       whenever a grace-period wait has been blocked longer than
       {!gp_stall_ns} (a stalled reader: the saturation case bag depth
-      cannot see). Values above 1.0 mean saturated. Racy snapshot; the
+      cannot see). Values above 1.0 mean saturated. Always 0.0 on an
+      inline reclaimer, whose producers wait for their own grace
+      periods. Racy snapshot; the
       serving layer polls it for reclamation-aware admission
       (SERVING.md). *)
 
   val batches : t -> int
-  (** Reclaim passes that freed at least one pointer. *)
+  (** Reclaim passes (background) or drains (inline) that freed at least
+      one pointer. *)
 
   val crashes : t -> int
   (** Reclaimer incarnations that died and were restarted (or, past the

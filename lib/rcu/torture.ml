@@ -88,12 +88,18 @@ type elem = { id : int; mutable freed : bool; shadow : San.record option }
 let fault_reader_hold = Fault.register "torture.reader.hold"
 
 module Make (R : Rcu_intf.S) = struct
-  module Defer = Defer.Make (R)
   module Rec = Reclaimer.Make (R)
 
   let body cfg ~seed ~stall_count ~san =
     let r = R.create ~max_threads:(cfg.readers + cfg.writers + 1) () in
-    let reclaimer = if cfg.use_call_rcu then Some (Rec.create r) else None in
+    (* [use_defer] drains each writer's bag inline, on the writer: the
+       writer pays one grace period per 32 updates instead of per update,
+       so even a short run still completes several grace periods. *)
+    let reclaimer =
+      if cfg.use_call_rcu then Some (Rec.create r)
+      else if cfg.use_defer then Some (Rec.create ~batch:32 ~background:false r)
+      else None
+    in
     let new_shadow () =
       match san with Some d -> Some (San.register d) | None -> None
     in
@@ -195,7 +201,6 @@ module Make (R : Rcu_intf.S) = struct
     let writer i =
       Domain.spawn (fun () ->
           let th = R.register r in
-          let defer = if cfg.use_defer then Some (Defer.create r) else None in
           let bag = Option.map Rec.new_producer reclaimer in
           let rng = Rng.create (Int64.of_int (seed + 9_000 + i)) in
           Barrier.wait start;
@@ -227,21 +232,14 @@ module Make (R : Rcu_intf.S) = struct
                (match (reclaimer, bag) with
                | Some rc, Some b ->
                    (* call_rcu: the cookie is snapshotted at enqueue and
-                      the background reclaimer frees after it elapses —
-                      the writer never waits. The readers' freed-flag and
-                      shadow checks verify the cookie discipline exactly
-                      as they do the inline grace periods. *)
+                      the free runs after it elapses (on the background
+                      reclaimer, or on this writer when its bag drains);
+                      the reclaimer owns the shadow lifecycle. The
+                      readers' checks verify the cookie discipline
+                      exactly as they do the inline grace periods. *)
                    Rec.call_rcu rc b ?shadow:old.shadow (fun () ->
                        old.freed <- true)
-               | _ -> (
-               match defer with
-               | Some d ->
-                   (* Defer owns the shadow lifecycle: Deferred at enqueue
-                      (rejecting double-enqueues), Reclaimed when the
-                      callback runs after its grace period. *)
-                   Defer.defer d ?shadow:old.shadow (fun () ->
-                       old.freed <- true)
-               | None when cfg.use_poll ->
+               | _ when cfg.use_poll ->
                    (* Cookie taken after unpublishing, then a dawdle: with
                       several writers, another writer's grace period often
                       elapses past the cookie meanwhile, so this hammers
@@ -255,14 +253,16 @@ module Make (R : Rcu_intf.S) = struct
                    R.cond_synchronize r gp;
                    old.freed <- true;
                    mark_reclaimed old
-               | None ->
+               | _ ->
                    mark_deferred old;
                    R.synchronize r;
                    old.freed <- true;
-                   mark_reclaimed old));
+                   mark_reclaimed old);
                incr u
              done;
-             match defer with Some d -> Defer.drain d | None -> ()
+             match (reclaimer, bag) with
+             | Some rc, Some b -> Rec.drain rc b
+             | _ -> ()
            with
           | Stall.Stalled _ ->
               (* Fail-mode watchdog: the aborted synchronize gives no

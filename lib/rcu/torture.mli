@@ -25,7 +25,10 @@ type config = {
   updates_per_writer : int;
   nest : bool;  (** readers use nested read-side sections *)
   reader_delay : bool;  (** readers dawdle inside the critical section *)
-  use_defer : bool;  (** writers free through [Defer] instead of inline *)
+  use_defer : bool;
+      (** writers free through an inline-drained {!Reclaimer}: each
+          writer's bag runs after one grace period per batch, paid by the
+          writer *)
   use_poll : bool;
       (** writers take a grace-period cookie ([read_gp_seq]) after
           unpublishing, dawdle, then free through [cond_synchronize] —

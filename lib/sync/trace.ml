@@ -26,7 +26,6 @@ type kind =
   | Lock_acquire
   | Lock_contended
   | Restart
-  | Defer_flush
   | Stall
   | Sync_coalesced
   | Sanitize_violation
@@ -48,7 +47,6 @@ let kind_to_string = function
   | Lock_acquire -> "lock_acquire"
   | Lock_contended -> "lock_contended"
   | Restart -> "restart"
-  | Defer_flush -> "defer_flush"
   | Stall -> "stall"
   | Sync_coalesced -> "sync_coalesced"
   | Sanitize_violation -> "sanitize_violation"
@@ -70,19 +68,18 @@ let kind_index = function
   | Lock_acquire -> 4
   | Lock_contended -> 5
   | Restart -> 6
-  | Defer_flush -> 7
-  | Stall -> 8
-  | Sync_coalesced -> 9
-  | Sanitize_violation -> 10
-  | Lockdep_violation -> 11
-  | Mod_enqueue -> 12
-  | Mod_drain -> 13
-  | Mod_stall -> 14
-  | Updater_crash -> 15
-  | Updater_restart -> 16
-  | Shard_state -> 17
-  | Reclaim -> 18
-  | Breaker_state -> 19
+  | Stall -> 7
+  | Sync_coalesced -> 8
+  | Sanitize_violation -> 9
+  | Lockdep_violation -> 10
+  | Mod_enqueue -> 11
+  | Mod_drain -> 12
+  | Mod_stall -> 13
+  | Updater_crash -> 14
+  | Updater_restart -> 15
+  | Shard_state -> 16
+  | Reclaim -> 17
+  | Breaker_state -> 18
 
 let kind_of_index = function
   | 0 -> Read_enter
@@ -92,18 +89,17 @@ let kind_of_index = function
   | 4 -> Lock_acquire
   | 5 -> Lock_contended
   | 6 -> Restart
-  | 7 -> Defer_flush
-  | 9 -> Sync_coalesced
-  | 10 -> Sanitize_violation
-  | 11 -> Lockdep_violation
-  | 12 -> Mod_enqueue
-  | 13 -> Mod_drain
-  | 14 -> Mod_stall
-  | 15 -> Updater_crash
-  | 16 -> Updater_restart
-  | 17 -> Shard_state
-  | 18 -> Reclaim
-  | 19 -> Breaker_state
+  | 8 -> Sync_coalesced
+  | 9 -> Sanitize_violation
+  | 10 -> Lockdep_violation
+  | 11 -> Mod_enqueue
+  | 12 -> Mod_drain
+  | 13 -> Mod_stall
+  | 14 -> Updater_crash
+  | 15 -> Updater_restart
+  | 16 -> Shard_state
+  | 17 -> Reclaim
+  | 18 -> Breaker_state
   | _ -> Stall
 
 type event = {

@@ -2,7 +2,7 @@
 
     One global ring shared by every domain records the serialization events
     that explain throughput: RCU read-section boundaries, grace-period
-    start/end, lock contention, traversal restarts, deferred-free flushes.
+    start/end, lock contention, traversal restarts, reclaim batches.
     Recording claims a slot with a single [fetch_and_add] — it never blocks,
     never loops, and allocates only a bounded amount per event — so it is
     safe to call from the hottest read paths. When the ring is full the
@@ -27,7 +27,6 @@ type kind =
           distinguish tree-node locks from the GP lock *)
   | Lock_contended  (** lock acquired after spinning; arg = wait (ns) *)
   | Restart  (** optimistic traversal restarted after failed validation *)
-  | Defer_flush  (** deferred-free batch executed; arg = callbacks run *)
   | Stall
       (** grace-period stall report emitted (see [Repro_rcu.Stall]);
           arg = blocking reader slot index *)

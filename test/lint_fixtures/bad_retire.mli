@@ -1,0 +1,3 @@
+val retire :
+  Repro_sanitizer.Sanitizer.record -> wait:(unit -> unit) -> (unit -> unit) ->
+  unit

@@ -4,11 +4,12 @@
    arrival), invisible when disarmed, and strict about unknown names. The
    stall watchdog must name the blocking reader slot, emit one report per
    threshold window in warn mode, raise [Rcu.Stalled] in fail mode, and
-   stay silent on healthy runs — for all three RCU flavours. Draining a
-   deferral queue at teardown must run every callback, including callbacks
-   enqueued by callbacks. *)
+   stay silent on healthy runs — for all three RCU flavours. Draining an
+   inline reclaimer bag at teardown must run every callback, including
+   callbacks enqueued by callbacks. *)
 
 module Fault = Repro_fault.Fault
+module San = Repro_sanitizer.Sanitizer
 module Stall = Repro_rcu.Rcu.Stall
 module Torture = Repro_rcu.Torture
 
@@ -25,6 +26,13 @@ let isolated f =
       Stall.disarm ();
       Stall.reset_handler ())
     f
+
+(* Arm the reclamation sanitizer around [f], restoring it: a Citrus tree
+   created inside retires what it unlinks. *)
+let with_san f =
+  let was = San.enabled () in
+  San.arm ();
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f
 
 (* ------------------------------------------------------------------ *)
 (* Fault core *)
@@ -121,27 +129,28 @@ let test_disabled_is_invisible () =
       checkb "disarmed point never fires" false (Fault.fires p))
 
 (* ------------------------------------------------------------------ *)
-(* Defer.drain *)
+(* Reclaimer.drain on an inline-drained reclaimer *)
 
 let test_drain () =
   let module R = Repro_rcu.Epoch_rcu in
-  let module Defer = Repro_rcu.Defer.Make (R) in
+  let module Rec = Repro_rcu.Reclaimer.Make (R) in
   let r = R.create () in
-  let d = Defer.create ~batch:32 r in
+  let rc = Rec.create ~batch:32 ~background:false r in
+  let p = Rec.new_producer rc in
   let ran = ref 0 in
-  (* A callback that enqueues another callback: one flush is not enough,
+  (* A callback that enqueues another callback: one pass is not enough,
      drain must iterate to a fixed point. *)
-  Defer.defer d (fun () ->
+  Rec.call_rcu rc p (fun () ->
       incr ran;
-      Defer.defer d (fun () -> incr ran));
+      Rec.call_rcu rc p (fun () -> incr ran));
   for _ = 1 to 3 do
-    Defer.defer d (fun () -> incr ran)
+    Rec.call_rcu rc p (fun () -> incr ran)
   done;
-  checkb "queue below batch" true (Defer.pending d < 32);
-  Defer.drain d;
-  checki "nothing pending after drain" 0 (Defer.pending d);
+  checkb "bag below batch" true (Rec.pending rc < 32);
+  Rec.drain rc p;
+  checki "nothing pending after drain" 0 (Rec.pending rc);
   checki "every callback ran, including chained" 5 !ran;
-  checki "executed counter agrees" 5 (Defer.executed d)
+  checki "chained callback took a second pass" 2 (Rec.batches rc)
 
 (* ------------------------------------------------------------------ *)
 (* Stall watchdog, per flavour *)
@@ -279,11 +288,13 @@ let test_torture_fail () =
    not break the tree or let a reader touch reclaimed memory. *)
 
 let test_citrus_faults () =
-  isolated (fun () ->
+  isolated @@ fun () ->
+  with_san (fun () ->
       let module C = Repro_citrus.Citrus_int.Epoch in
       Fault.configure ~seed:17L
         [ ("citrus.delete.window", 0.5); ("lock.spin.acquire", 0.05) ];
-      let t = C.create ~reclamation:true () in
+      let t = C.create () in
+      let violations = San.violations () in
       let workers =
         List.init 3 (fun i ->
             Domain.spawn (fun () ->
@@ -300,8 +311,12 @@ let test_citrus_faults () =
       in
       List.iter Domain.join workers;
       C.check_invariants t;
-      checki "no use-after-reclaim under faults" 0
-        (List.assoc "use_after_reclaim" (C.stats t)))
+      checki "no sanitizer violations under faults" violations
+        (San.violations ());
+      checki "every retirement ran" 0
+        (List.length (San.audit (C.sanitizer t)));
+      checkb "retirements happened" true
+        (List.assoc "reclaimed" (C.stats t) > 0))
 
 let () =
   Alcotest.run "fault"

@@ -313,13 +313,18 @@ let test_contains_linearization () =
   C.check_exn (H.events hist)
 
 (* Reclamation must not affect linearizability: record histories on a
-   reclamation-enabled tree (tiny key space, maximal contention) and
-   model-check them. *)
+   tree built under the armed sanitizer, which retires what it unlinks
+   (tiny key space, maximal contention), and model-check them. *)
 let test_reclamation_linearizable () =
   let module H = Repro_linchecker.History in
   let module C = Repro_linchecker.Checker in
+  let module San = Repro_sanitizer.Sanitizer in
+  let was = San.enabled () in
+  San.arm ();
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) @@ fun () ->
   for seed = 1 to 5 do
-    let t = T.create ~reclamation:true () in
+    let violations = San.violations () in
+    let t = T.create () in
     let threads = 3 in
     let hist = H.create ~threads in
     let bar = Barrier.create threads in
@@ -349,8 +354,8 @@ let test_reclamation_linearizable () =
     let domains = List.init threads worker in
     List.iter Domain.join domains;
     C.check_exn (H.events hist);
-    checki "no use-after-reclaim" 0
-      (List.assoc "use_after_reclaim" (T.stats t))
+    checki "no use-after-reclaim" violations (San.violations ());
+    checki "every retirement ran" 0 (List.length (San.audit (T.sanitizer t)))
   done
 
 let () =

@@ -19,6 +19,7 @@ let expected =
     ("read-modify-write", "lint_fixtures/bad_rmw.ml");
     ("use of Random", "lint_fixtures/lib/server/bad_random.ml");
     ("wall clock", "lint_fixtures/lib/workload/bad_clock_seed.ml");
+    ("outside the reclaimer", "lint_fixtures/bad_retire.ml");
   ]
 
 let contains_sub s sub =
@@ -87,7 +88,7 @@ let test_no_cross_fire () =
         (good ^ " stays clean")
         false
         (List.exists (fun l -> contains_sub l good) (diagnostics lines)))
-    [ "good.ml"; "good_seed.ml" ]
+    [ "good.ml"; "good_seed.ml"; "lib/rcu/reclaimer.ml" ]
 
 let test_real_tree_clean () =
   (* The passes hold on the actual library source: `lint lib` from the

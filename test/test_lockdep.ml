@@ -13,6 +13,7 @@ module Torture = Repro_rcu.Torture
 module Epoch = Repro_rcu.Epoch_rcu
 module Mutation = Repro_citrus.Mutation
 module Tree = Repro_citrus.Citrus_int.Epoch
+module San = Repro_sanitizer.Sanitizer
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -175,9 +176,16 @@ let test_unbalanced_read_unlock () =
 
 (* --- clean integration runs must be silent --- *)
 
+(* The sanitizer is armed too, so the tree retires what it unlinks: the
+   successor walk's read section and the inline bag drains are validated
+   as well. *)
 let test_clean_citrus_silent () =
-  with_lockdep (fun () ->
-      let t = Tree.create ~reclamation:true () in
+  with_lockdep @@ fun () ->
+  let was = San.enabled () in
+  San.arm ();
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) (fun () ->
+      let san_violations = San.violations () in
+      let t = Tree.create () in
       let domains =
         List.init 3 (fun i ->
             Domain.spawn (fun () ->
@@ -191,7 +199,10 @@ let test_clean_citrus_silent () =
       in
       List.iter Domain.join domains;
       checki "no violations" 0 (Lockdep.violations ());
-      checkb "protocol was actually validated" true (Lockdep.checks () > 0))
+      checkb "protocol was actually validated" true (Lockdep.checks () > 0);
+      checki "no use-after-reclaim" san_violations (San.violations ());
+      checki "every retirement ran" 0
+        (List.length (San.audit (Tree.sanitizer t))))
 
 let test_torture_lockdep_clean () =
   let cfg =

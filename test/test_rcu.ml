@@ -395,33 +395,38 @@ let test_implementations_list () =
     [ "epoch-rcu"; "urcu"; "qsbr" ]
     names
 
-(* --- Defer --- *)
+(* --- Deferred callbacks on an inline-drained Reclaimer --- *)
 
 module Defer_tests (R : Repro_rcu.Rcu.S) = struct
-  module D = Repro_rcu.Defer.Make (R)
+  module Rec = Repro_rcu.Reclaimer.Make (R)
+
+  let inline ?batch r = Rec.create ?batch ~background:false r
 
   let test_batching () =
     let r = R.create () in
-    let d = D.create ~batch:3 r in
+    let rc = inline ~batch:3 r in
+    let p = Rec.new_producer rc in
     let log = ref [] in
-    D.defer d (fun () -> log := 1 :: !log);
-    D.defer d (fun () -> log := 2 :: !log);
-    checki "pending below batch" 2 (D.pending d);
+    Rec.call_rcu rc p (fun () -> log := 1 :: !log);
+    Rec.call_rcu rc p (fun () -> log := 2 :: !log);
+    checki "pending below batch" 2 (Rec.pending rc);
     Alcotest.check Alcotest.(list int) "nothing ran yet" [] !log;
-    D.defer d (fun () -> log := 3 :: !log);
-    checki "flushed at batch" 0 (D.pending d);
+    Rec.call_rcu rc p (fun () -> log := 3 :: !log);
+    checki "drained at batch" 0 (Rec.pending rc);
     Alcotest.check Alcotest.(list int) "FIFO order" [ 3; 2; 1 ] !log;
-    checki "executed" 3 (D.executed d)
+    checki "one drain" 1 (Rec.batches rc)
 
   let test_flush_empty () =
     let r = R.create () in
-    let d = D.create r in
+    let rc = inline r in
+    let p = Rec.new_producer rc in
     let gp0 = R.grace_periods r in
-    D.flush d;
-    checki "no grace period for empty flush" gp0 (R.grace_periods r)
+    Rec.drain rc p;
+    checki "no grace period for empty drain" gp0 (R.grace_periods r);
+    checki "no drain counted" 0 (Rec.batches rc)
 
   (* A deferred callback must not run while any reader that pre-dates the
-     defer-triggered grace period is still inside its critical section. *)
+     drain-triggered grace period is still inside its critical section. *)
   let test_defer_respects_grace_period () =
     let r = R.create () in
     let ready = Barrier.create 2 in
@@ -439,9 +444,10 @@ module Defer_tests (R : Repro_rcu.Rcu.S) = struct
     in
     let writer =
       Domain.spawn (fun () ->
-          let d = D.create ~batch:1 r in
+          let rc = inline ~batch:1 r in
+          let p = Rec.new_producer rc in
           Barrier.wait ready;
-          D.defer d (fun () -> Atomic.set freed true))
+          Rec.call_rcu rc p (fun () -> Atomic.set freed true))
     in
     Domain.join reader;
     Domain.join writer;

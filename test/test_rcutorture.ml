@@ -9,9 +9,9 @@
 
    On top of the classic configurations, the fault-driven cases arm the
    injection points from ROBUSTNESS.md: delays inside the grace-period
-   machinery, extra grace periods in Defer.flush, parked readers. Faults
-   stretch the windows the algorithm must already tolerate, so the
-   correctness criterion is unchanged: zero errors. *)
+   machinery, extra grace periods in inline reclaimer drains, parked
+   readers. Faults stretch the windows the algorithm must already
+   tolerate, so the correctness criterion is unchanged: zero errors. *)
 
 module Torture = Repro_rcu.Torture
 

@@ -12,6 +12,13 @@ module Reclaimer = Repro_rcu.Reclaimer
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* Arm the reclamation sanitizer around [f], restoring it: a Citrus tree
+   created inside retires what it unlinks. *)
+let with_san f =
+  let was = San.enabled () in
+  San.arm ();
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f
+
 module Behaviour (R : Repro_rcu.Rcu.S) = struct
   module Rec = Reclaimer.Make (R)
 
@@ -182,7 +189,9 @@ module Qsbr_tests = Behaviour (Repro_rcu.Qsbr)
    quiesces, and the tree then passes the full invariant check. *)
 let test_citrus_call_rcu () =
   let module T = Repro_citrus.Citrus_int.Epoch in
-  let t = T.create ~reclamation:true ~call_rcu:true () in
+  with_san @@ fun () ->
+  let violations = San.violations () in
+  let t = T.create ~call_rcu:true () in
   let h = T.register t in
   for k = 0 to 199 do
     checkb "insert" true (T.insert h k k)
@@ -208,7 +217,12 @@ let test_citrus_call_rcu () =
   let stats = T.stats t in
   checkb "reclaimer stats exported" true
     (List.mem_assoc "reclaim_batches" stats);
-  checki "use_after_reclaim" 0 (List.assoc "use_after_reclaim" stats);
+  checki "no use-after-reclaim" violations (San.violations ());
+  checki "every retirement ran" 0 (List.length (San.audit (T.sanitizer t)));
+  checki "every unlinked node reclaimed"
+    (List.assoc "deletes_one_child" stats
+    + (2 * List.assoc "deletes_two_children" stats))
+    (List.assoc "reclaimed" stats);
   (* Shutdown is idempotent and the quiescent helpers stay usable. *)
   T.shutdown t;
   checki "size stable" 100 (T.size t)
@@ -217,7 +231,9 @@ let test_citrus_call_rcu () =
    readers, all through the call_rcu path, then a clean shutdown. *)
 let test_citrus_call_rcu_concurrent () =
   let module T = Repro_citrus.Citrus_int.Epoch in
-  let t = T.create ~reclamation:true ~call_rcu:true () in
+  with_san @@ fun () ->
+  let violations = San.violations () in
+  let t = T.create ~call_rcu:true () in
   let h0 = T.register t in
   let keys = 128 in
   for k = 0 to keys - 1 do
@@ -246,7 +262,8 @@ let test_citrus_call_rcu_concurrent () =
   T.shutdown t;
   T.check_invariants t;
   checki "all keys survive the churn" keys (T.size t);
-  checki "use_after_reclaim" 0 (List.assoc "use_after_reclaim" (T.stats t))
+  checki "no use-after-reclaim" violations (San.violations ());
+  checki "every retirement ran" 0 (List.length (San.audit (T.sanitizer t)))
 
 let () =
   Alcotest.run "reclaimer"

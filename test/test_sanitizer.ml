@@ -1,5 +1,5 @@
-(* Reclamation sanitizer: shadow state machine, integration with Defer
-   and the RCU flavours, read-side exception safety, and the mutation
+(* Reclamation sanitizer: shadow state machine, integration with the
+   Reclaimer and the RCU flavours, read-side exception safety, and the mutation
    suite proving seeded grace-period bugs are detected (ROBUSTNESS.md,
    "Reclamation sanitizer"). *)
 
@@ -103,29 +103,32 @@ let test_leak_audit () =
       checki "audit now clean" 0 (List.length (San.audit d)))
 
 (* ------------------------------------------------------------------ *)
-(* Defer integration *)
+(* Reclaimer integration: the shadow lifecycle through an inline-drained
+   bag. *)
 
 let test_defer_shadow_lifecycle () =
   with_san (fun () ->
       San.reset_violations ();
       let module R = Repro_rcu.Epoch_rcu in
-      let module Defer = Repro_rcu.Defer.Make (R) in
+      let module Rec = Repro_rcu.Reclaimer.Make (R) in
       let dom = San.create "defer" in
       let r = R.create () in
-      let d = Defer.create r in
+      let rc = Rec.create ~background:false r in
+      let p = Rec.new_producer rc in
       let s = San.register dom in
       let ran = ref 0 in
-      Defer.defer d ~shadow:s (fun () -> incr ran);
+      Rec.call_rcu rc p ~shadow:s (fun () -> incr ran);
       checkb "enqueue marks Deferred" true
         (match San.state s with San.Deferred _ -> true | _ -> false);
-      (* Re-enqueueing the same object is rejected before the queue is
+      (* Retiring the same object again is rejected before the bag is
          touched, so the free still runs exactly once. *)
-      (match Defer.defer d ~shadow:s (fun () -> incr ran) with
-      | () -> Alcotest.fail "double enqueue must raise"
+      (match Rec.call_rcu rc p ~shadow:s (fun () -> incr ran) with
+      | () -> Alcotest.fail "double retire must raise"
       | exception San.Violation rep ->
           checkb "rejected as double free" true
             (rep.San.kind = San.Double_free));
-      Defer.drain d;
+      checki "bag untouched by the rejected retire" 1 (Rec.pending rc);
+      Rec.drain rc p;
       checki "callback ran exactly once" 1 !ran;
       checkb "drain marks Reclaimed" true
         (match San.state s with San.Reclaimed _ -> true | _ -> false);
@@ -135,15 +138,16 @@ let test_defer_shadow_lifecycle () =
 let test_defer_leak_detected () =
   with_san (fun () ->
       let module R = Repro_rcu.Epoch_rcu in
-      let module Defer = Repro_rcu.Defer.Make (R) in
+      let module Rec = Repro_rcu.Reclaimer.Make (R) in
       let dom = San.create "defer-leak" in
       let r = R.create () in
-      let d = Defer.create r in
+      let rc = Rec.create ~background:false r in
+      let p = Rec.new_producer rc in
       let s = San.register dom in
-      Defer.defer d ~shadow:s ignore;
+      Rec.call_rcu rc p ~shadow:s ignore;
       checki "pending free visible to the audit" 1 (San.deferred_count dom);
-      Defer.drain d;
-      checki "drained queue leaks nothing" 0 (San.deferred_count dom))
+      Rec.drain rc p;
+      checki "drained bag leaks nothing" 0 (San.deferred_count dom))
 
 (* ------------------------------------------------------------------ *)
 (* Per-flavour: clean lifecycle and forced early reclaim *)
@@ -324,7 +328,7 @@ let test_parse_raise_action () =
 let test_citrus_sanitized_clean () =
   with_san (fun () ->
       San.reset_violations ();
-      let t = TInt.create ~reclamation:true () in
+      let t = TInt.create () in
       let h0 = TInt.register t in
       for k = 0 to 63 do
         ignore (TInt.insert h0 k k)
@@ -349,7 +353,9 @@ let test_citrus_sanitized_clean () =
       Atomic.set stop true;
       List.iter Domain.join readers;
       TInt.unregister h0;
-      checki "no violations on correct Citrus" 0 (San.violations ()))
+      checki "no violations on correct Citrus" 0 (San.violations ());
+      checki "every retirement ran" 0
+        (List.length (San.audit (TInt.sanitizer t))))
 
 (* ------------------------------------------------------------------ *)
 (* Baselines: rb_rcu's instrumented delete path, and the attach_shadow
