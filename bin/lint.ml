@@ -15,8 +15,8 @@
    3. No raw [Atomic] writes to documented lock-protected fields from
       outside the owning file: [gp_seq] (urcu — written only by the
       gp_lock holder), [serving] (ticket lock — written only by the
-      lock holder), [tags] (citrus — written only under the node lock).
-      Reads stay free, as the algorithms require.
+      lock holder), [ltag]/[rtag] (citrus — written only under the node
+      lock). Reads stay free, as the algorithms require.
    4. Every .ml under lib/ has a matching .mli, so representation
       invariants stay sealed; module-type-only *_intf.ml files are
       exempt (an .mli would duplicate them token for token).
@@ -26,8 +26,8 @@
       mutation verdicts, and latency reports all depend on it).
    6. No get-then-set read-modify-write on the protocol counters
       ([gp_seq], [gp_completed], [gp_started], [scanning], [serving],
-      [tags]): an [Atomic.set] whose value nests an [Atomic.get] of the
-      same field loses concurrent updates — use [fetch_and_add] or
+      [ltag], [rtag]): an [Atomic.set] whose value nests an [Atomic.get]
+      of the same field loses concurrent updates — use [fetch_and_add] or
       [compare_and_set]. Reader slot words and the lock-held [gp_ctr]
       flip are exempt: their get-then-set is single-writer by protocol.
    7. [Sanitizer.on_defer] / [on_reclaim] — the shadow lifecycle of a
@@ -60,7 +60,8 @@ let protected_fields =
   [
     ("gp_seq", "lib/rcu/urcu.ml");
     ("serving", "lib/sync/ticket_lock.ml");
-    ("tags", "lib/citrus/citrus.ml");
+    ("ltag", "lib/citrus/citrus.ml");
+    ("rtag", "lib/citrus/citrus.ml");
   ]
 
 let atomic_write_fns =
@@ -84,7 +85,15 @@ let wall_clock_idents = [ "gettimeofday"; "time"; "now_ns"; "now" ]
    bug. Reader slot words ([slot]) and [gp_ctr] are deliberately absent —
    their get-then-set is single-writer (own slot, or under gp_lock). *)
 let rmw_fields =
-  [ "gp_seq"; "gp_completed"; "gp_started"; "scanning"; "serving"; "tags" ]
+  [
+    "gp_seq";
+    "gp_completed";
+    "gp_started";
+    "scanning";
+    "serving";
+    "ltag";
+    "rtag";
+  ]
 
 (* Rule 7: the sanitizer's retirement transitions and the files allowed
    to drive them (the sanitizer itself defines them). *)

@@ -46,10 +46,10 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-(* Directions double as indices into the [children]/[tags] arrays, mirroring
-   the paper's child[direction]. *)
-(* Child indices and the pure traversal/validation fragments live in
-   Citrus_proto, shared with the model checker (lib/modelcheck). *)
+(* Directions of the paper's child[direction]: [left] selects a node's
+   [left]/[ltag] pair, [right] its [right]/[rtag] pair. The search
+   direction comes from Citrus_proto, shared with the model checker
+   (lib/modelcheck). *)
 let left = Citrus_proto.left
 let right = Citrus_proto.right
 
@@ -68,33 +68,41 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let node_cls =
     Lockdep.new_class ~ordered:true Lockdep.Tree_node ("citrus/" ^ R.name)
 
-  (* Sentinel keys: the paper's -1 / infinity dummies (Section 2). The root
-     holds Neg_inf; its right child holds Pos_inf; every real node lives in
-     the left subtree of the Pos_inf node. *)
-  type skey = Neg_inf | Key of K.t | Pos_inf
+  (* One block holds everything a traversal reads: the key unboxed, and
+     each child link an atomic whose payload is the child block itself,
+     with [Nil] (an immediate) for the paper's null. A search level is
+     thus node -> link atomic -> next node.
 
-  let compare_skey a b =
-    match (a, b) with
-    | Neg_inf, Neg_inf | Pos_inf, Pos_inf -> 0
-    | Neg_inf, _ | _, Pos_inf -> -1
-    | _, Neg_inf | Pos_inf, _ -> 1
-    | Key x, Key y -> K.compare x y
-
-  type 'v node = {
-    key : skey; (* never changes (Section 2) *)
-    value : 'v option; (* None only in sentinels; never changes *)
-    children : 'v node option Atomic.t array; (* length 2: left, right *)
-    tags : 'v tag_array; (* per-child ABA tags, length 2 *)
-    mutable marked : bool; (* accessed only under [lock] *)
-    lock : Spinlock.t;
-    mutable shadow : San.record option;
-        (* Reclamation-sanitizer record, attached by [retire] while the
-           sanitizer is armed; None otherwise. *)
-  }
-
-  and 'v tag_array = int Atomic.t array
-  (* Tags are atomics because get reads prev.tag[dir] inside the read-side
-     critical section while updates increment it under the node lock. *)
+     The paper's two dummies (Section 2) shrink to one: the tree is
+     anchored at a [Sentinel] standing for the infinity key, and every
+     real node lives in its left subtree. [get] starts below it, so no
+     key is ever compared against a sentinel; the sentinel is only ever
+     the [prev] of an update at the top of the tree, which is why it
+     carries a lock and a tag. The paper's -1 root would never be [prev]
+     for a real key, so it is gone. *)
+  type 'v node =
+    | Nil
+    | Sentinel of {
+        left : 'v node Atomic.t; (* the whole tree *)
+        ltag : int Atomic.t;
+        lock : Spinlock.t;
+      }
+    | Node of {
+        key : K.t; (* never changes (Section 2) *)
+        value : 'v option; (* always Some; never changes *)
+        left : 'v node Atomic.t;
+        right : 'v node Atomic.t;
+        ltag : int Atomic.t;
+        rtag : int Atomic.t;
+            (* Per-child ABA tags, atomics because get reads prev's tag
+               inside the read-side critical section while updates bump
+               it under the node lock. *)
+        mutable marked : bool; (* accessed only under [lock] *)
+        lock : Spinlock.t;
+        mutable shadow : San.record option;
+            (* Reclamation-sanitizer record, attached by [retire] while
+               the sanitizer is armed; None otherwise. *)
+      }
 
   type hooks = {
     mutable on_restart : unit -> unit;
@@ -104,7 +112,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   }
 
   type 'v t = {
-    root : 'v node;
+    root : 'v node; (* the Sentinel *)
     rcu : R.t;
     armed : bool;
         (* The sanitizer was armed at [create]: unlinked nodes are retired
@@ -137,24 +145,64 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     rt : R.thread;
     id : int;
     bag : Rec.producer option; (* Some iff the tree has a reclaimer *)
+    mutable prev : 'v node;
+    mutable tag : int;
+    mutable dir : int;
+        (* The results of the last [get] besides curr (which it returns):
+           curr's parent, the snapshot of prev's tag taken inside the
+           read-side critical section, and the direction from prev to
+           curr. Written by get instead of returning a tuple, so a lookup
+           allocates nothing; updates copy them into locals before any
+           hook runs. *)
   }
 
-  let new_node key value =
-    {
-      key;
-      value;
-      children = [| Atomic.make None; Atomic.make None |];
-      tags = [| Atomic.make 0; Atomic.make 0 |];
-      marked = false;
-      lock = Spinlock.create ~cls:node_cls ();
-      shadow = None;
-    }
+  (* Field access shared by both kinds of block. The sentinel has only a
+     left link, is never marked and is never retired. *)
+  let link n dir =
+    match n with
+    | Node r -> if dir = left then r.left else r.right
+    | Sentinel s when dir = left -> s.left
+    | Sentinel _ | Nil -> invalid_arg "Citrus.link"
+
+  let tag_cell n dir =
+    match n with
+    | Node r -> if dir = left then r.ltag else r.rtag
+    | Sentinel s when dir = left -> s.ltag
+    | Sentinel _ | Nil -> invalid_arg "Citrus.tag_cell"
+
+  let lock_of = function
+    | Node r -> r.lock
+    | Sentinel s -> s.lock
+    | Nil -> invalid_arg "Citrus.lock_of"
+
+  let is_marked = function Node r -> r.marked | Sentinel _ | Nil -> false
+  let shadow_of = function Node r -> r.shadow | Sentinel _ | Nil -> None
+  let child n dir = Atomic.get (link n dir)
+
+  let new_node key value l r =
+    Node
+      {
+        key;
+        value;
+        left = Atomic.make l;
+        right = Atomic.make r;
+        ltag = Atomic.make 0;
+        rtag = Atomic.make 0;
+        marked = false;
+        lock = Spinlock.create ~cls:node_cls ();
+        shadow = None;
+      }
 
   let create ?max_threads
       ?(call_rcu = Repro_rcu.Reclaimer.call_rcu_enabled ()) () =
-    let infinity_node = new_node Pos_inf None in
-    let root = new_node Neg_inf None in
-    Atomic.set root.children.(right) (Some infinity_node);
+    let root =
+      Sentinel
+        {
+          left = Atomic.make Nil;
+          ltag = Atomic.make 0;
+          lock = Spinlock.create ~cls:node_cls ();
+        }
+    in
     let rcu = R.create ?max_threads () in
     let armed = San.enabled () in
     (* The reclaimer is per tree instance (at most one background domain
@@ -206,6 +254,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       rt = R.register tree.rcu;
       id = Atomic.fetch_and_add tree.handle_ids 1;
       bag = Option.map Rec.new_producer tree.reclaimer;
+      prev = tree.root;
+      tag = 0;
+      dir = left;
     }
 
   let unregister h =
@@ -220,13 +271,12 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      traversal that touches it from here on is checked. The reclaimer
      carries it through Deferred (at enqueue) and Reclaimed (when the
      callback runs after its grace period). *)
-  let new_shadow t node =
-    if San.enabled () then begin
-      let s = San.register t.san in
-      node.shadow <- Some s;
-      Some s
-    end
-    else None
+  let new_shadow t = function
+    | Node r when San.enabled () ->
+        let s = San.register t.san in
+        r.shadow <- Some s;
+        Some s
+    | Node _ | Sentinel _ | Nil -> None
 
   (* Retire an unlinked node into [bag]: one grace period later no reader
      can hold it, so the callback — standing in for free() — marks its
@@ -253,43 +303,57 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     Trace.record Restart h.id;
     t.hooks.on_restart ()
 
-  let child node dir = Atomic.get node.children.(dir)
-
-  (* Physical equality on optional nodes: the paper's prev.child[direction]
-     = curr comparison is on node identity. *)
-  let same_node a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> x == y
-    | None, Some _ | Some _, None -> false
-
-  (* Sanitizer probes, one per lock discipline at the probing site:
-     [san_check] raises (traversals holding only the read lock, released
-     by get's exception handler on the way out), [san_note] records
-     without raising (the successor walk runs while delete holds node
-     locks a raise would leak), [san_observe] counts the touch only
-     (post-lock validation, where reaching a retired node is legal —
-     validate is specified to return false on it). All are no-ops unless
-     the sanitizer is armed. *)
-  let san_check h n =
-    match n.shadow with
+  (* Sanitizer probes on a node's shadow, one per lock discipline at the
+     probing site: [san_check] raises (traversals holding only the read
+     lock, released by get's exception handler on the way out),
+     [san_note] records without raising (the successor walk runs while
+     delete holds node locks a raise would leak), [san_observe] counts the
+     touch only (post-lock validation, where reaching a retired node is
+     legal — validate is specified to return false on it). All are no-ops
+     unless the sanitizer is armed. *)
+  let san_check h = function
     | None -> ()
     | Some s ->
         San.check ~slot:(R.reader_slot h.rt) ~cookie:(R.reader_cookie h.rt) s
 
-  let san_note h n =
-    match n.shadow with
+  let san_note h = function
     | None -> ()
     | Some s ->
         San.note ~slot:(R.reader_slot h.rt) ~cookie:(R.reader_cookie h.rt) s
 
-  let san_observe n =
-    match n.shadow with None -> () | Some s -> San.observe s
+  let san_observe = function None -> () | Some s -> San.observe s
 
-  (* get (paper lines 1-15): wait-free search from the root inside an RCU
-     read-side critical section. Returns (prev, tag, curr, direction) where
-     curr is the node holding [key] (or None), prev its parent, and tag the
-     snapshot of prev.tag[direction] taken inside the critical section.
+  (* The loop of get (lines 4-12): [prev] is the last node passed, [dir]
+     the direction taken from it and [cell] that link. Stops at the node
+     holding [key] or at an empty link, records prev and dir in the
+     handle, and returns curr. A module-level function rather than a
+     local closure, so the descent allocates nothing. *)
+  let rec descend h key fault_on san_on prev dir cell =
+    match Atomic.get cell with
+    | Node c as curr ->
+        if fault_on then Fault.inject fault_read_step;
+        if san_on then san_check h c.shadow;
+        let cmp = K.compare c.key key in
+        if cmp = 0 then begin
+          h.prev <- prev;
+          h.dir <- dir;
+          curr
+        end
+        else
+          let dir = Citrus_proto.dir_of_cmp cmp in
+          descend h key fault_on san_on curr dir
+            (if dir = left then c.left else c.right)
+    | (Nil | Sentinel _) as curr ->
+        h.prev <- prev;
+        h.dir <- dir;
+        curr
+
+  (* get (paper lines 1-15): wait-free search from below the sentinel
+     inside an RCU read-side critical section. Returns curr, the node
+     holding [key] (or [Nil]; never the sentinel), and leaves in [h] its
+     parent [prev], the direction from prev to curr, and [tag], the
+     snapshot of prev's tag in that direction taken inside the critical
+     section.
 
      The read lock is taken before the body so the handler can assume it
      is held; everything that can raise — client comparisons, sanitizer
@@ -299,8 +363,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      closures Fun.protect would allocate per call cost measurable
      read-side throughput. *)
   let get h key =
-    let t = h.tree in
-    let skey = Key key in
     R.read_lock h.rt;
     match
       (* Arming state is snapshot once per critical section: the calls
@@ -308,37 +370,21 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
          measurably tax the wait-free search this tree exists for. A
          traversal that began before arming is allowed to finish
          unprobed — arming is a debug-time operation. *)
-      let fault_on = Fault.enabled () in
       let san_on = San.enabled () in
-      let prev = ref t.root in
-      let curr = ref (child t.root right) in
-      (* root's right child is never None *)
-      let direction = ref right in
-      let continue = ref true in
-      while !continue do
-        match !curr with
-        | None -> continue := false
-        | Some c ->
-            if fault_on then Fault.inject fault_read_step;
-            if san_on then san_check h c;
-            let cmp = compare_skey c.key skey in
-            if cmp = 0 then continue := false
-            else begin
-              prev := c;
-              direction := Citrus_proto.dir_of_cmp cmp;
-              curr := child c !direction
-            end
-      done;
+      let root = h.tree.root in
+      let curr =
+        descend h key (Fault.enabled ()) san_on root left (link root left)
+      in
       (* Save the tag inside the read-side critical section (line 13);
          [prev] was vetted when traversed, but the tag dereference must
          not outlive its grace period either. *)
-      if san_on then san_check h !prev;
-      let tag = Atomic.get (!prev).tags.(!direction) in
-      (!prev, tag, !curr, !direction)
+      if san_on then san_check h (shadow_of h.prev);
+      h.tag <- Atomic.get (tag_cell h.prev h.dir);
+      curr
     with
-    | result ->
+    | curr ->
         R.read_unlock h.rt;
-        result
+        curr
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         R.read_unlock h.rt;
@@ -346,55 +392,70 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   (* contains (lines 16-20). *)
   let contains h key =
-    let _, _, curr, _ = get h key in
-    match curr with None -> None | Some c -> c.value
+    match get h key with Node c -> c.value | Nil | Sentinel _ -> None
 
-  let mem h key = Option.is_some (contains h key)
+  let mem h key =
+    match get h key with Node _ -> true | Nil | Sentinel _ -> false
 
   (* validate (lines 33-38): purely local checks under the caller-held
-     locks. *)
+     locks. With curr present only its mark matters; with curr absent the
+     ABA tag must not have moved, and the tag is read on that path only.
+     Links compare by physical equality: the paper's prev.child[direction]
+     = curr is on node identity, and [Nil] is an immediate. *)
   let validate prev tag curr direction =
-    Citrus_proto.validate ~prev_marked:prev.marked
-      ~child_same:(same_node (child prev direction) curr)
-      ~curr_marked:(match curr with Some c -> Some c.marked | None -> None)
-      ~tag
-      ~tag_now:(fun () -> Atomic.get prev.tags.(direction))
+    (not (is_marked prev))
+    && child prev direction == curr
+    &&
+    match curr with
+    | Node c -> not c.marked
+    | Nil | Sentinel _ -> Atomic.get (tag_cell prev direction) = tag
 
   (* incrementTag (lines 39-41): bump the ABA tag when a child slot becomes
      empty. *)
   let increment_tag node direction =
-    if child node direction = None then
-      ignore (Atomic.fetch_and_add node.tags.(direction) 1)
+    if child node direction == Nil then
+      ignore (Atomic.fetch_and_add (tag_cell node direction) 1)
 
   (* insert (lines 21-32). *)
   let rec insert h key value =
     let t = h.tree in
-    let prev, tag, curr, direction = get h key in
-    match curr with
-    | Some _ -> false (* the key was found (line 25) *)
-    | None ->
+    match get h key with
+    | Node _ -> false (* the key was found (line 25) *)
+    | Nil | Sentinel _ ->
+        let prev = h.prev and tag = h.tag and direction = h.dir in
         t.hooks.between_get_and_lock ();
-        Spinlock.acquire_ordered prev.lock 0;
-        if San.enabled () then san_observe prev;
-        if validate prev tag None direction then begin
-          let node = new_node (Key key) (Some value) in
-          Atomic.set prev.children.(direction) (Some node);
-          (* Seeded bug (lockdep mutant): unlock the root's lock — which
-             this domain never took — instead of prev's. Armed lockdep
-             turns it into [Release_not_held] before the lock word is
-             touched; prev.lock is left held, wedging the tree, so the
-             hunt discards it. *)
+        let prev_lock = lock_of prev in
+        Spinlock.acquire_ordered prev_lock 0;
+        if San.enabled () then san_observe (shadow_of prev);
+        if validate prev tag Nil direction then begin
+          let node = new_node key (Some value) Nil Nil in
+          Atomic.set (link prev direction) node;
+          (* Seeded bug (lockdep mutant): unlock the new node's lock —
+             which this domain never took — instead of prev's. Armed
+             lockdep turns it into [Release_not_held] before the lock
+             word is touched; prev's lock is left held, wedging the tree,
+             so the hunt discards it. *)
           Spinlock.release
-            (if Atomic.get unbalanced_unlock_bug then t.root.lock
-             else prev.lock);
+            (if Atomic.get unbalanced_unlock_bug then lock_of node
+             else prev_lock);
           Stats.incr t.inserts h.id;
           true
         end
         else begin
-          Spinlock.release prev.lock;
+          Spinlock.release prev_lock;
           note_restart t h;
           insert h key value
         end
+
+  (* The leftward walk of the successor search: the caller (delete) holds
+     node locks across it, so the sanitizer probe must not raise —
+     [san_note] records the violation and lets the locks be released
+     normally. *)
+  let rec leftmost h prev_succ succ =
+    if San.enabled () then san_note h (shadow_of succ);
+    match child succ left with
+    | Node _ as next -> leftmost h succ next
+    | Nil | Sentinel _ -> (prev_succ, succ)
 
   (* Successor search for the two-children case (lines 58-64): leftmost node
      of the right subtree of curr. The paper performs it outside any
@@ -402,70 +463,59 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      influence the direction, and validation catches staleness. That is
      only memory-safe without reclamation; on an armed tree, which retires
      unlinked nodes, we wrap the walk in a read-side critical section so a
-     concurrent grace period cannot reclaim nodes under our feet. *)
+     concurrent grace period cannot reclaim nodes under our feet. The
+     caller checked curr has two children. *)
   let find_successor h curr =
-    let rec down prev_succ succ =
-      (* The caller (delete) holds node locks across this walk, so the
-         sanitizer probe must not raise: [san_note] records the violation
-         and lets the locks be released normally. *)
-      if San.enabled () then san_note h succ;
-      match child succ left with
-      | None -> (prev_succ, succ)
-      | Some next -> down succ next
-    in
-    let walk () =
-      match child curr right with
-      | None -> assert false (* caller checked curr has two children *)
-      | Some first -> down curr first
-    in
-    if not h.tree.armed then walk ()
+    if not h.tree.armed then leftmost h curr (child curr right)
     else begin
       R.read_lock h.rt;
-      Fun.protect ~finally:(fun () -> R.read_unlock h.rt) walk
+      Fun.protect
+        ~finally:(fun () -> R.read_unlock h.rt)
+        (fun () -> leftmost h curr (child curr right))
     end
 
   (* delete (lines 42-84). *)
   let rec delete h key =
     let t = h.tree in
-    let prev, _, curr, direction = get h key in
-    match curr with
-    | None -> false (* the key was not found (line 46) *)
-    | Some curr ->
+    match get h key with
+    | Nil | Sentinel _ -> false (* the key was not found (line 46) *)
+    | Node c as curr ->
+        let prev = h.prev and direction = h.dir in
         t.hooks.between_get_and_lock ();
+        let prev_lock = lock_of prev in
         if Atomic.get abba_delete_bug then begin
           (* Seeded bug (lockdep mutant): child before parent — against a
              concurrent top-down update this is the classic ABBA deadlock.
              Armed lockdep raises [Order_inversion] at the second
              acquisition (held rank 1, acquiring rank 0), single-domain,
              before any deadlock has to materialize. *)
-          Spinlock.acquire_ordered curr.lock 1;
-          Spinlock.acquire_ordered prev.lock 0
+          Spinlock.acquire_ordered c.lock 1;
+          Spinlock.acquire_ordered prev_lock 0
         end
         else begin
-          Spinlock.acquire_ordered prev.lock 0;
-          Spinlock.acquire_ordered curr.lock 1
+          Spinlock.acquire_ordered prev_lock 0;
+          Spinlock.acquire_ordered c.lock 1
         end;
         if San.enabled () then begin
-          san_observe prev;
-          san_observe curr
+          san_observe (shadow_of prev);
+          san_observe c.shadow
         end;
-        if not (validate prev 0 (Some curr) direction) then begin
-          Spinlock.release curr.lock;
-          Spinlock.release prev.lock;
+        if not (validate prev 0 curr direction) then begin
+          Spinlock.release c.lock;
+          Spinlock.release prev_lock;
           note_restart t h;
           delete h key
         end
-        else if child curr left = None || child curr right = None then begin
+        else if Atomic.get c.left == Nil || Atomic.get c.right == Nil then begin
           (* curr has at most one child: bypass it (lines 50-56,
              Figure 3(a)-(b)). *)
-          curr.marked <- true;
-          let not_none_child =
-            if child curr left <> None then left else right
-          in
-          Atomic.set prev.children.(direction) (child curr not_none_child);
+          c.marked <- true;
+          let l = Atomic.get c.left in
+          Atomic.set (link prev direction)
+            (if l != Nil then l else Atomic.get c.right);
           increment_tag prev direction;
-          Spinlock.release curr.lock;
-          Spinlock.release prev.lock;
+          Spinlock.release c.lock;
+          Spinlock.release prev_lock;
           retire h curr;
           Stats.incr t.deletes_one_child h.id;
           true
@@ -474,158 +524,149 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           (* curr has two children: replace it with a copy of its successor
              (lines 57-83, Figure 3(c)-(e)). *)
           let prev_succ, succ = find_successor h curr in
-          t.hooks.after_find_successor ();
-          let succ_direction = if curr == prev_succ then right else left in
-          if curr != prev_succ then Spinlock.acquire_ordered prev_succ.lock 2;
-          Spinlock.acquire_ordered succ.lock 3;
-          if San.enabled () then begin
-            san_observe prev_succ;
-            san_observe succ
-          end;
-          let succ_left_tag = Atomic.get succ.tags.(left) in
-          if
-            validate prev_succ 0 (Some succ) succ_direction
-            && validate succ succ_left_tag None left
-          then begin
-            (* A fresh node with succ's key/value and curr's children
-               (line 70), locked before it becomes reachable (line 71). *)
-            let node =
-              {
-                key = succ.key;
-                value = succ.value;
-                children =
-                  [|
-                    Atomic.make (child curr left);
-                    Atomic.make (child curr right);
-                  |];
-                tags = [| Atomic.make 0; Atomic.make 0 |];
-                marked = false;
-                lock = Spinlock.create ~cls:node_cls ();
-                shadow = None;
-              }
-            in
-            Spinlock.acquire_ordered node.lock 4;
-            curr.marked <- true;
-            Atomic.set prev.children.(direction) (Some node);
-            t.hooks.before_synchronize ();
-            if Fault.enabled () then Fault.inject fault_delete_window;
-            (* The unlink below must wait for pre-existing readers: any
-               search that could still find the successor only in its old
-               position completes first (line 74). Two ways to pay for
-               that wait: *)
-            (match (t.reclaimer, h.bag, t.self_bag) with
-            | Some rc, Some bag, Some self_bag
-              when not (Atomic.get sync_in_read_bug) ->
-                (* call_rcu: hand the grace-period-then-unlink
-                   continuation to the background reclaimer and return
-                   now — the updater never blocks. The window state is
-                   exactly the inline version's: all five locks stay
-                   held (ceded to the continuation, which adopts and
-                   releases them after the grace period), so every
-                   schedule here is a schedule of the paper's protocol
-                   in which the deleting thread is merely descheduled
-                   inside synchronize while other operations run — the
-                   safety argument is unchanged. Updaters that resolve
-                   to the held nodes spin as they would against a
-                   blocked inline deleter; readers never take node
-                   locks, so the grace period always elapses. *)
-                Spinlock.transfer node.lock;
-                Spinlock.transfer succ.lock;
-                if curr != prev_succ then Spinlock.transfer prev_succ.lock;
-                Spinlock.transfer curr.lock;
-                Spinlock.transfer prev.lock;
-                Rec.call_rcu rc bag (fun () ->
-                    succ.marked <- true;
-                    if prev_succ == curr then begin
-                      (* succ is the right child of curr, which [node]
-                         replaced. *)
-                      Atomic.set node.children.(right) (child succ right);
-                      increment_tag node right
+          match succ with
+          | Nil | Sentinel _ -> assert false (* curr has a right child *)
+          | Node s ->
+              t.hooks.after_find_successor ();
+              let succ_direction = if curr == prev_succ then right else left in
+              let prev_succ_lock = lock_of prev_succ in
+              if curr != prev_succ then
+                Spinlock.acquire_ordered prev_succ_lock 2;
+              Spinlock.acquire_ordered s.lock 3;
+              if San.enabled () then begin
+                san_observe (shadow_of prev_succ);
+                san_observe s.shadow
+              end;
+              let succ_left_tag = Atomic.get s.ltag in
+              if
+                validate prev_succ 0 succ succ_direction
+                && validate succ succ_left_tag Nil left
+              then begin
+                (* A fresh node with succ's key/value and curr's children
+                   (line 70), locked before it becomes reachable (line 71). *)
+                let node =
+                  new_node s.key s.value (Atomic.get c.left)
+                    (Atomic.get c.right)
+                in
+                let node_lock = lock_of node in
+                Spinlock.acquire_ordered node_lock 4;
+                c.marked <- true;
+                Atomic.set (link prev direction) node;
+                t.hooks.before_synchronize ();
+                if Fault.enabled () then Fault.inject fault_delete_window;
+                (* The unlink of succ from its old position (lines 75-80):
+                   succ's right subtree takes its place. *)
+                let unlink_succ () =
+                  s.marked <- true;
+                  if prev_succ == curr then begin
+                    (* succ is the right child of curr, which [node]
+                       replaced. *)
+                    Atomic.set (link node right) (Atomic.get s.right);
+                    increment_tag node right
+                  end
+                  else begin
+                    Atomic.set (link prev_succ left) (Atomic.get s.right);
+                    increment_tag prev_succ left
+                  end
+                in
+                (* The unlink must wait for pre-existing readers: any search
+                   that could still find the successor only in its old
+                   position completes first (line 74). Two ways to pay for
+                   that wait: *)
+                (match (t.reclaimer, h.bag, t.self_bag) with
+                | Some rc, Some bag, Some self_bag
+                  when not (Atomic.get sync_in_read_bug) ->
+                    (* call_rcu: hand the grace-period-then-unlink
+                       continuation to the background reclaimer and return
+                       now — the updater never blocks. The window state is
+                       exactly the inline version's: all five locks stay
+                       held (ceded to the continuation, which adopts and
+                       releases them after the grace period), so every
+                       schedule here is a schedule of the paper's protocol
+                       in which the deleting thread is merely descheduled
+                       inside synchronize while other operations run — the
+                       safety argument is unchanged. Updaters that resolve
+                       to the held nodes spin as they would against a
+                       blocked inline deleter; readers never take node
+                       locks, so the grace period always elapses. *)
+                    Spinlock.transfer node_lock;
+                    Spinlock.transfer s.lock;
+                    if curr != prev_succ then Spinlock.transfer prev_succ_lock;
+                    Spinlock.transfer c.lock;
+                    Spinlock.transfer prev_lock;
+                    Rec.call_rcu rc bag (fun () ->
+                        unlink_succ ();
+                        Spinlock.adopt node_lock ~order:4;
+                        Spinlock.release node_lock;
+                        Spinlock.adopt s.lock ~order:3;
+                        Spinlock.release s.lock;
+                        if curr != prev_succ then begin
+                          Spinlock.adopt prev_succ_lock ~order:2;
+                          Spinlock.release prev_succ_lock
+                        end;
+                        Spinlock.adopt c.lock ~order:1;
+                        Spinlock.release c.lock;
+                        Spinlock.adopt prev_lock ~order:0;
+                        Spinlock.release prev_lock;
+                        (* succ only became unreachable at the unlink above,
+                           so its retirement cookie must postdate it. Retire
+                           into a bag this domain may produce into: the
+                           reclaimer-owned bag on the reclaimer domain; off
+                           it, this closure ran on a fallback path — on the
+                           retiring updater (bag full, reclaimer dead), which
+                           owns [bag], or with the reclaimer stopping, where
+                           call_rcu frees inline without touching a bag. *)
+                        if t.armed then
+                          retire_into t rc
+                            (if Rec.on_reclaimer_domain rc then self_bag
+                             else bag)
+                            h.id succ);
+                    (* curr became unreachable at the copy's publication, so
+                       its cookie (taken inside [retire], i.e. now) already
+                       covers every reader that could hold it. *)
+                    retire h curr
+                | _ ->
+                    (* Inline: the paper's synchronous form. With many
+                       updaters deleting concurrently these calls coalesce
+                       inside [synchronize] (piggybacking on a grace period
+                       already in flight) rather than each driving its own
+                       scan. *)
+                    if Atomic.get sync_in_read_bug then begin
+                      (* Seeded bug (lockdep mutant): the grace-period wait
+                         issued from *inside* a read-side critical section —
+                         the waiter is its own blocking reader, so disarmed
+                         this self-deadlocks. Armed, [check_sync] raises
+                         [Sync_in_read_section] before the wait begins; the
+                         Fun.protect unwinds the read section so only the
+                         node locks are left wedged. *)
+                      R.read_lock h.rt;
+                      Fun.protect
+                        ~finally:(fun () -> R.read_unlock h.rt)
+                        (fun () -> R.synchronize t.rcu)
                     end
-                    else begin
-                      Atomic.set prev_succ.children.(left) (child succ right);
-                      increment_tag prev_succ left
-                    end;
-                    Spinlock.adopt node.lock ~order:4;
-                    Spinlock.release node.lock;
-                    Spinlock.adopt succ.lock ~order:3;
-                    Spinlock.release succ.lock;
-                    if curr != prev_succ then begin
-                      Spinlock.adopt prev_succ.lock ~order:2;
-                      Spinlock.release prev_succ.lock
-                    end;
-                    Spinlock.adopt curr.lock ~order:1;
-                    Spinlock.release curr.lock;
-                    Spinlock.adopt prev.lock ~order:0;
-                    Spinlock.release prev.lock;
-                    (* succ only became unreachable at the unlink above,
-                       so its retirement cookie must postdate it. Retire
-                       into a bag this domain may produce into: the
-                       reclaimer-owned bag on the reclaimer domain; off
-                       it, this closure ran on a fallback path — on the
-                       retiring updater (bag full, reclaimer dead), which
-                       owns [bag], or with the reclaimer stopping, where
-                       call_rcu frees inline without touching a bag. *)
-                    if t.armed then
-                      retire_into t rc
-                        (if Rec.on_reclaimer_domain rc then self_bag else bag)
-                        h.id succ);
-                (* curr became unreachable at the copy's publication, so
-                   its cookie (taken inside [retire], i.e. now) already
-                   covers every reader that could hold it. *)
-                retire h curr
-            | _ ->
-                (* Inline: the paper's synchronous form. With many
-                   updaters deleting concurrently these calls coalesce
-                   inside [synchronize] (piggybacking on a grace period
-                   already in flight) rather than each driving its own
-                   scan. *)
-                if Atomic.get sync_in_read_bug then begin
-                  (* Seeded bug (lockdep mutant): the grace-period wait
-                     issued from *inside* a read-side critical section —
-                     the waiter is its own blocking reader, so disarmed
-                     this self-deadlocks. Armed, [check_sync] raises
-                     [Sync_in_read_section] before the wait begins; the
-                     Fun.protect unwinds the read section so only the
-                     node locks are left wedged. *)
-                  R.read_lock h.rt;
-                  Fun.protect
-                    ~finally:(fun () -> R.read_unlock h.rt)
-                    (fun () -> R.synchronize t.rcu)
-                end
-                else R.synchronize t.rcu;
-                succ.marked <- true;
-                if prev_succ == curr then begin
-                  (* succ is the right child of curr, which [node]
-                     replaced. *)
-                  Atomic.set node.children.(right) (child succ right);
-                  increment_tag node right
-                end
-                else begin
-                  Atomic.set prev_succ.children.(left) (child succ right);
-                  increment_tag prev_succ left
-                end;
-                Spinlock.release node.lock;
-                Spinlock.release succ.lock;
-                if curr != prev_succ then Spinlock.release prev_succ.lock;
-                Spinlock.release curr.lock;
-                Spinlock.release prev.lock;
-                retire h curr;
-                retire h succ);
-            Stats.incr t.deletes_two_children h.id;
-            true
-          end
-          else begin
-            Spinlock.release succ.lock;
-            if curr != prev_succ then Spinlock.release prev_succ.lock;
-            Spinlock.release curr.lock;
-            Spinlock.release prev.lock;
-            note_restart t h;
-            delete h key
-          end
+                    else R.synchronize t.rcu;
+                    unlink_succ ();
+                    Spinlock.release node_lock;
+                    Spinlock.release s.lock;
+                    if curr != prev_succ then Spinlock.release prev_succ_lock;
+                    Spinlock.release c.lock;
+                    Spinlock.release prev_lock;
+                    retire h curr;
+                    retire h succ);
+                Stats.incr t.deletes_two_children h.id;
+                true
+              end
+              else begin
+                Spinlock.release s.lock;
+                if curr != prev_succ then Spinlock.release prev_succ_lock;
+                Spinlock.release c.lock;
+                Spinlock.release prev_lock;
+                note_restart t h;
+                delete h key
+              end
         end
 
-  (* Note on [validate prev 0 (Some curr) direction]: when curr <> None the
+  (* Note on [validate prev 0 curr direction]: when curr is present the
      tag branch of validate is unreachable, matching the paper's
      validate(prev,-,curr,direction) "don't care" tag argument. *)
 
@@ -635,26 +676,17 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   let fail fmt = Printf.ksprintf (fun s -> raise (Invariant_violation s)) fmt
 
-  let real_root t =
-    (* The Pos_inf sentinel; real keys live in its left subtree. *)
-    match child t.root right with
-    | None -> fail "root has no right sentinel child"
-    | Some inf -> inf
-
   let fold_inorder f acc t =
     let rec go acc = function
-      | None -> acc
-      | Some n ->
-          let acc = go acc (child n left) in
-          let acc =
-            match (n.key, n.value) with
-            | Key k, Some v -> f acc k v
-            | Key _, None -> fail "real node without value"
-            | (Neg_inf | Pos_inf), _ -> acc
-          in
-          go acc (child n right)
+      | Nil -> acc
+      | Sentinel _ -> fail "sentinel below the root"
+      | Node n -> (
+          let acc = go acc (Atomic.get n.left) in
+          match n.value with
+          | Some v -> go (f acc n.key v) (Atomic.get n.right)
+          | None -> fail "real node without value")
     in
-    go acc (Some t.root)
+    go acc (child t.root left)
 
   let size t = fold_inorder (fun n _ _ -> n + 1) 0 t
 
@@ -663,41 +695,43 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   let height t =
     let rec go = function
-      | None -> 0
-      | Some n -> 1 + max (go (child n left)) (go (child n right))
+      | Nil | Sentinel _ -> 0
+      | Node n -> 1 + max (go (Atomic.get n.left)) (go (Atomic.get n.right))
     in
-    go (child (real_root t) left)
+    go (child t.root left)
 
   let check_invariants t =
+    let check_tag cell = if Atomic.get cell < 0 then fail "negative tag" in
     let rec check lo hi = function
-      | None -> ()
-      | Some n ->
+      | Nil -> ()
+      | Sentinel _ -> fail "sentinel below the root"
+      | Node n ->
           if n.marked then fail "reachable node is marked";
           (match Option.map San.state n.shadow with
           | Some (San.Deferred _ | San.Reclaimed _) ->
               fail "reachable node was retired"
           | Some San.Live | None -> ());
           if Spinlock.is_locked n.lock then fail "reachable node is locked";
+          if n.value = None then fail "real node without value";
           (match lo with
-          | Some lo when compare_skey n.key lo <= 0 ->
+          | Some lo when K.compare n.key lo <= 0 ->
               fail "BST order violated (lower bound)"
           | _ -> ());
           (match hi with
-          | Some hi when compare_skey n.key hi >= 0 ->
+          | Some hi when K.compare n.key hi >= 0 ->
               fail "BST order violated (upper bound)"
           | _ -> ());
-          if Atomic.get n.tags.(left) < 0 || Atomic.get n.tags.(right) < 0
-          then fail "negative tag";
-          check lo (Some n.key) (child n left);
-          check (Some n.key) hi (child n right)
+          check_tag n.ltag;
+          check_tag n.rtag;
+          check lo (Some n.key) (Atomic.get n.left);
+          check (Some n.key) hi (Atomic.get n.right)
     in
-    let root = t.root in
-    if root.key <> Neg_inf then fail "root key is not Neg_inf";
-    if child root left <> None then fail "root has a left child";
-    let inf = real_root t in
-    if inf.key <> Pos_inf then fail "sentinel key is not Pos_inf";
-    if child inf right <> None then fail "Pos_inf sentinel has a right child";
-    check (Some Neg_inf) (Some Pos_inf) (child inf left)
+    match t.root with
+    | Sentinel s ->
+        if Spinlock.is_locked s.lock then fail "sentinel is locked";
+        check_tag s.ltag;
+        check None None (Atomic.get s.left)
+    | Nil | Node _ -> fail "root is not the sentinel"
 
   let stats t =
     Stats.dump t.group
@@ -755,44 +789,49 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      child rises), [left] the mirror. Fails harmlessly (returns false) if
      validation loses a race. *)
   let try_rotate h p pdir n sink_dir =
-    let t = h.tree in
-    let rise_dir = 1 - sink_dir in
-    Spinlock.acquire_ordered p.lock 0;
-    Spinlock.acquire_ordered n.lock 1;
-    let rising =
-      if (not p.marked) && (not n.marked) && same_node (child p pdir) (Some n)
-      then child n rise_dir
-      else None
-    in
-    match rising with
-    | None ->
-        Spinlock.release n.lock;
-        Spinlock.release p.lock;
-        false
-    | Some c ->
-        Spinlock.acquire_ordered c.lock 2;
-        if c.marked then begin
-          Spinlock.release c.lock;
-          Spinlock.release n.lock;
-          Spinlock.release p.lock;
-          false
-        end
-        else begin
-          (* The copy that takes n's place below the rising child: it
-             adopts c's sink-side subtree and n's own sink-side subtree. *)
-          let fresh = new_node n.key n.value in
-          Atomic.set fresh.children.(rise_dir) (child c sink_dir);
-          Atomic.set fresh.children.(sink_dir) (child n sink_dir);
-          n.marked <- true;
-          Atomic.set c.children.(sink_dir) (Some fresh);
-          Atomic.set p.children.(pdir) (Some c);
-          Spinlock.release c.lock;
-          Spinlock.release n.lock;
-          Spinlock.release p.lock;
-          retire h n;
-          Stats.incr t.rotations h.id;
-          true
-        end
+    match n with
+    | Nil | Sentinel _ -> false
+    | Node nr -> (
+        let t = h.tree in
+        let rise_dir = 1 - sink_dir in
+        let p_lock = lock_of p in
+        Spinlock.acquire_ordered p_lock 0;
+        Spinlock.acquire_ordered nr.lock 1;
+        let rising =
+          if (not (is_marked p)) && (not nr.marked) && child p pdir == n then
+            child n rise_dir
+          else Nil
+        in
+        match rising with
+        | Nil | Sentinel _ ->
+            Spinlock.release nr.lock;
+            Spinlock.release p_lock;
+            false
+        | Node cr as c ->
+            Spinlock.acquire_ordered cr.lock 2;
+            if cr.marked then begin
+              Spinlock.release cr.lock;
+              Spinlock.release nr.lock;
+              Spinlock.release p_lock;
+              false
+            end
+            else begin
+              (* The copy that takes n's place below the rising child: it
+                 adopts c's sink-side subtree and n's own sink-side
+                 subtree. *)
+              let fresh = new_node nr.key nr.value Nil Nil in
+              Atomic.set (link fresh rise_dir) (child c sink_dir);
+              Atomic.set (link fresh sink_dir) (child n sink_dir);
+              nr.marked <- true;
+              Atomic.set (link c sink_dir) fresh;
+              Atomic.set (link p pdir) c;
+              Spinlock.release cr.lock;
+              Spinlock.release nr.lock;
+              Spinlock.release p_lock;
+              retire h n;
+              Stats.incr t.rotations h.id;
+              true
+            end)
 
   let maintenance_pass h =
     let t = h.tree in
@@ -816,8 +855,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
        refines them. *)
     let rec walk p pdir =
       match child p pdir with
-      | None -> (0, 0, 0)
-      | Some n ->
+      | Nil | Sentinel _ -> (0, 0, 0)
+      | Node _ as n ->
           let hl, hll, hlr = walk n left in
           let hr, hrl, hrr = walk n right in
           let stale = (1 + max hl hr, hl, hr) in
@@ -825,8 +864,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
             if hlr > hll then begin
               (* Zig-zag: raise the left child's right child first. *)
               (match child n left with
-              | Some l when try_rotate h n left l left -> incr rotations
-              | Some _ | None -> ());
+              | Node _ as l when try_rotate h n left l left -> incr rotations
+              | Node _ | Nil | Sentinel _ -> ());
               stale
             end
             else if try_rotate h p pdir n right then begin
@@ -839,8 +878,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           else if hr > hl + 1 then begin
             if hrl > hrr then begin
               (match child n right with
-              | Some r when try_rotate h n right r right -> incr rotations
-              | Some _ | None -> ());
+              | Node _ as r when try_rotate h n right r right ->
+                  incr rotations
+              | Node _ | Nil | Sentinel _ -> ());
               stale
             end
             else if try_rotate h p pdir n left then begin
@@ -852,8 +892,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           end
           else stale
     in
-    let inf = real_root t in
-    ignore (walk inf left);
+    ignore (walk t.root left);
     !rotations
 
   let balance ?(max_passes = 64) h =

@@ -42,8 +42,9 @@ module Buggy : sig
       read-side critical section ([Sync_in_read_section]). *)
 
   val unbalanced_unlock : bool -> unit
-  (** [insert]'s success path unlocks the root's lock — never taken by
-      the caller — instead of prev's ([Release_not_held]). *)
+  (** [insert]'s success path unlocks the lock of the node it just
+      published — never taken by the caller — instead of prev's
+      ([Release_not_held]). *)
 end
 
 module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
@@ -125,9 +126,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
   exception Invariant_violation of string
 
   val check_invariants : 'v t -> unit
-  (** Verify in a quiescent state: strict BST order with sentinel bounds, no
-      reachable marked or retired (shadow [Deferred] or [Reclaimed]) node,
-      no duplicate keys, all node locks free.
+  (** Verify in a quiescent state: the tree hangs from the one sentinel
+      (whose lock is free and tag non-negative) and no other sentinel is
+      reachable; strict BST order, hence no duplicate keys; every
+      reachable node carries a value, is unmarked, unlocked, not retired
+      (shadow [Deferred] or [Reclaimed]) and has non-negative tags.
       @raise Invariant_violation otherwise. *)
 
   val stats : 'v t -> (string * int) list

@@ -1,8 +1,8 @@
 (* Pure fragments of the Citrus algorithm, shared between the real tree
    (citrus.ml) and the model checker's 2-reader/1-updater model
    (lib/modelcheck/models.ml) — the same reason Protocol exists for the
-   RCU flavours: the model must traverse and validate with the *same*
-   direction and validation logic as the code it checks. *)
+   RCU flavours: the model must traverse with the *same* child
+   directions and search direction as the code it checks. *)
 
 let left = 0
 let right = 1
@@ -10,15 +10,3 @@ let right = 1
 (* Search direction from a three-way comparison of node key vs search
    key (paper line 7): node key greater -> left, else right. *)
 let dir_of_cmp cmp = if cmp > 0 then left else right
-
-(* validate (paper lines 33-38), on pre-extracted observations:
-   [prev_marked] and [child_same] kill the validation outright; with a
-   present [curr] only its mark matters; with an absent one the ABA tag
-   must not have moved ([tag_now] is a thunk so the tag is only read on
-   the path that needs it, as in the original). *)
-let validate ~prev_marked ~child_same ~curr_marked ~tag ~tag_now =
-  if prev_marked || not child_same then false
-  else
-    match curr_marked with
-    | Some marked -> not marked
-    | None -> tag_now () = tag

@@ -1,6 +1,6 @@
 (** Pure fragments of the Citrus algorithm shared with the model checker
-    (lib/modelcheck): child indices, search direction, and the validate
-    predicate, as total functions on plain values. *)
+    (lib/modelcheck): the child directions and the search direction, as
+    total functions on plain values. *)
 
 val left : int
 val right : int
@@ -8,14 +8,3 @@ val right : int
 val dir_of_cmp : int -> int
 (** Direction from a three-way comparison of node key vs search key:
     positive (node key greater) -> {!left}, otherwise {!right}. *)
-
-val validate :
-  prev_marked:bool ->
-  child_same:bool ->
-  curr_marked:bool option ->
-  tag:int ->
-  tag_now:(unit -> int) ->
-  bool
-(** validate (paper lines 33-38). [curr_marked] is [None] when [curr]
-    is absent, in which case the ABA [tag] is compared against
-    [tag_now ()] (a thunk: only read on that path). *)

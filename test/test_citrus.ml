@@ -648,6 +648,69 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
     T.unregister h;
     checki "nothing reclaimed" 0 (List.assoc "reclaimed" (T.stats t))
 
+  (* --- allocation gates --- *)
+
+  (* Minor words allocated by [f ()]; [Gc.minor_words] returns an unboxed
+     float, so the measurement itself allocates nothing. *)
+  let minor_words_of f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+
+  (* The gates measure the default configuration: a tree created with the
+     sanitizer and lockdep disarmed, whatever the environment armed. *)
+  let with_disarmed_tree f =
+    let module San = Repro_sanitizer.Sanitizer in
+    let module Lockdep = Repro_lockdep.Lockdep in
+    let san = San.enabled () and lockdep = Lockdep.enabled () in
+    San.disarm ();
+    Lockdep.disarm ();
+    Fun.protect
+      ~finally:(fun () ->
+        if san then San.arm ();
+        if lockdep then Lockdep.arm ())
+      (fun () -> with_tree f)
+
+  (* The read path allocates nothing: a lookup is one read-side critical
+     section and a descent through existing blocks, on hits and misses
+     alike. Even keys are present, odd keys absent. *)
+  let test_lookup_allocates_nothing () =
+    with_disarmed_tree @@ fun _ h ->
+    let n = 1024 and calls = 16_384 in
+    let rng = Rng.create 7L in
+    for _ = 1 to 4 * n do
+      let k = 2 * Rng.int rng n in
+      ignore (T.insert h k k)
+    done;
+    let keys = Array.init calls (fun i -> (i * 7919) land ((2 * n) - 1)) in
+    let per_op name f =
+      let w = minor_words_of (fun () -> Array.iter f keys) in
+      Alcotest.(check (float 0.0)) name 0.0 (w /. float_of_int calls)
+    in
+    per_op "contains words/op" (fun k -> ignore (T.contains h k));
+    per_op "mem words/op" (fun k -> ignore (T.mem h k))
+
+  (* An insert+delete cycle of a leaf allocates one node and the
+     one-child delete nothing: 28 words on OCaml 5.1 (the node block, its
+     four atomics, the value box, and the lock with its atomic and
+     boxed lockdep class). The bound leaves a little slack, but none for
+     a reintroduced per-level or per-call box. *)
+  let test_update_cycle_allocation () =
+    with_disarmed_tree @@ fun _ h ->
+    List.iter (fun k -> ignore (T.insert h k k)) [ 500; 250; 750; 125; 875 ];
+    let cycles = 10_000 in
+    let w =
+      minor_words_of (fun () ->
+          for i = 1 to cycles do
+            let k = 1000 + (i land 63) in
+            ignore (T.insert h k k);
+            ignore (T.delete h k)
+          done)
+    in
+    let per_cycle = w /. float_of_int cycles in
+    if per_cycle > 32.0 then
+      Alcotest.failf "insert+delete cycle allocates %.1f words" per_cycle
+
   let suite name =
     ( name,
       [
@@ -699,6 +762,10 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
           test_reclamation_no_use_after_free;
         Alcotest.test_case "reclamation off by default" `Quick
           test_reclamation_off_by_default;
+        Alcotest.test_case "lookups allocate nothing" `Quick
+          test_lookup_allocates_nothing;
+        Alcotest.test_case "update cycle allocation" `Quick
+          test_update_cycle_allocation;
       ] )
 end
 
@@ -708,10 +775,9 @@ module Qsbr_tests = Behaviour (Repro_rcu.Qsbr)
 
 (* Generic-key instantiation: string keys, to exercise the functor with a
    non-int order. *)
+module S = Repro_citrus.Citrus.Make (String) (Repro_rcu.Epoch_rcu)
+
 let test_string_keys () =
-  let module S =
-    Repro_citrus.Citrus.Make (String) (Repro_rcu.Epoch_rcu)
-  in
   let t = S.create () in
   let h = S.register t in
   List.iter
@@ -726,11 +792,54 @@ let test_string_keys () =
   S.check_invariants t;
   S.unregister h
 
+(* Two domains racing inserts, deletes and lookups over a small string
+   key range: the tree must come out well-formed, and its size must be
+   the prefill plus the successful inserts minus the successful
+   deletes. *)
+let test_string_keys_concurrent () =
+  let t = S.create () in
+  let key_range = 48 in
+  let key i = Printf.sprintf "k%03d" i in
+  let setup = S.register t in
+  for i = 0 to (key_range / 2) - 1 do
+    ignore (S.insert setup (key (2 * i)) (2 * i))
+  done;
+  S.unregister setup;
+  let n_domains = 2 and ops = 20_000 in
+  let bar = Barrier.create n_domains in
+  let worker i () =
+    let h = S.register t in
+    let rng = Rng.create (Int64.of_int (77 + i)) in
+    let net = ref 0 in
+    Barrier.wait bar;
+    for _ = 1 to ops do
+      let k = Rng.int rng key_range in
+      match Rng.int rng 3 with
+      | 0 -> if S.insert h (key k) k then incr net
+      | 1 -> if S.delete h (key k) then decr net
+      | _ -> (
+          match S.contains h (key k) with
+          | Some v when v <> k -> Alcotest.failf "key %s: wrong value" (key k)
+          | Some _ | None -> ())
+    done;
+    S.unregister h;
+    !net
+  in
+  let domains = List.init n_domains (fun i -> Domain.spawn (worker i)) in
+  let net = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  S.check_invariants t;
+  checki "size conserved" ((key_range / 2) + net) (S.size t)
+
 let () =
   Alcotest.run "citrus"
     [
       Epoch_tests.suite "citrus/epoch-rcu";
       Urcu_tests.suite "citrus/urcu";
       Qsbr_tests.suite "citrus/qsbr";
-      ("generic keys", [ Alcotest.test_case "string keys" `Quick test_string_keys ]);
+      ( "generic keys",
+        [
+          Alcotest.test_case "string keys" `Quick test_string_keys;
+          Alcotest.test_case "string keys, two domains" `Quick
+            test_string_keys_concurrent;
+        ] );
     ]
