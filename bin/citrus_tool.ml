@@ -627,155 +627,45 @@ let model scenario_name max_states no_dpor quick json_file =
                  violations)\n"
     (List.length results)
 
-(* Model-checker mutation suite: every seeded protocol bug must produce a
-   replayable counterexample under exhaustive exploration, and every
-   control model must stay silent. *)
-let model_mutants skip_controls =
-  let module Engine = Repro_modelcheck.Engine in
-  let module Models = Repro_modelcheck.Models in
-  Printf.printf "model-checker mutation suite:\n%!";
-  let failed = ref false in
-  List.iter
-    (fun (sc : Engine.scenario) ->
-      let r = Engine.explore ~max_states:3_000_000 sc in
-      match r.counterexample with
-      | Some cx ->
-          Printf.printf "  %-28s caught in %d trace(s):\n%!" sc.name
-            r.stats.traces;
-          Format.printf "%a@." Engine.pp_counterexample cx
-      | None ->
-          failed := true;
-          Printf.printf "  %-28s ESCAPED (%d traces, exhausted=%b)\n%!"
-            sc.name r.stats.traces r.stats.exhausted)
-    Models.mutants;
-  if not skip_controls then
-    List.iter
-      (fun (sc : Engine.scenario) ->
-        let r = Engine.explore ~max_states:3_000_000 sc in
-        match r.counterexample with
-        | None when r.stats.exhausted ->
-            Printf.printf "  %-28s (control) silent, %d trace(s)\n%!" sc.name
-              r.stats.traces
-        | None ->
-            failed := true;
-            Printf.printf "  %-28s (control) BUDGET-EXCEEDED\n%!" sc.name
-        | Some cx ->
-            failed := true;
-            Printf.printf "  %-28s (control) TRIPPED: %s\n%!" sc.name cx.error)
-      Models.controls;
-  if !failed then begin
-    Printf.eprintf
-      "mutants: FAILED — a seeded protocol bug escaped the model checker \
-       or a control model tripped (see above)\n";
-    exit 1
-  end;
-  print_endline
-    "mutants: OK (every seeded protocol bug yields a replayable \
-     counterexample; controls exhaustively clean)";
-  exit 0
-
-(* Mutation suite (ROBUSTNESS.md): each seeded grace-period bug must trip
-   the reclamation sanitizer; the matching clean configurations must not.
-   Any escape or control trip exits 1. *)
+(* Mutation suites (ROBUSTNESS.md, "Mutation suite"): every selected
+   seeded bug must be caught by its suite's detector, and every control
+   must stay silent. The flags select the union of their suites; with
+   none, the sanitizer suite runs. Any escape or control trip exits 1. *)
 let mutants seed attempts skip_controls lockdep chaos_suite model_suite =
-  let module Mutation = Repro_citrus.Mutation in
-  if model_suite then model_mutants skip_controls;
-  if chaos_suite then begin
-    (* The chaos mutations are deterministic (crashes armed to land at
-       known batch positions, deadlines pre-expired by construction): no
-       seeds or attempt budgets. Each mutant must be caught and its
-       control must stay silent on the identical schedule. *)
-    Printf.printf "chaos mutation suite:\n%!";
-    let failed = ref false in
-    let verdict ~mutant caught =
-      if mutant then
-        if caught then "caught"
-        else begin
-          failed := true;
-          "ESCAPED"
-        end
-      else if caught then begin
-        failed := true;
-        "TRIPPED"
-      end
-      else "silent"
-    in
-    let backlog mutant =
-      let m = Chaos.mutation ~mutate:mutant (module Dict.Citrus_epoch) in
-      Printf.printf
-        "  forget-backlog-on-restart%s: expected %d, final %d, lost %d -> \
-         %s\n\
-         %!"
-        (if mutant then "" else " (control)")
-        m.Chaos.expected m.Chaos.final_size m.Chaos.lost
-        (verdict ~mutant m.Chaos.caught)
-    in
-    let breaker mutant =
-      let m = Chaos.mutation_breaker ~mutate:mutant (module Dict.Citrus_epoch) in
-      Printf.printf
-        "  breaker-never-opens%s: crash=%b tripped=%b rejected=%b -> %s\n%!"
-        (if mutant then "" else " (control)")
-        m.Chaos.crash_seen m.Chaos.tripped m.Chaos.rejected
-        (verdict ~mutant m.Chaos.caught)
-    in
-    let deadline mutant =
-      let m =
-        Chaos.mutation_deadline ~mutate:mutant (module Dict.Citrus_epoch)
-      in
-      Printf.printf
-        "  drain-skips-deadline%s: queued %d, applied %d -> %s\n%!"
-        (if mutant then "" else " (control)")
-        m.Chaos.queued m.Chaos.applied
-        (verdict ~mutant m.Chaos.caught)
-    in
-    backlog true;
-    breaker true;
-    deadline true;
-    if not skip_controls then begin
-      backlog false;
-      breaker false;
-      deadline false
-    end;
-    if !failed then begin
-      Printf.eprintf
-        "mutants: FAILED — a seeded serving-layer bug escaped or a control \
-         tripped (see above)\n";
-      exit 1
-    end;
-    print_endline
-      "mutants: OK (backlog loss, silent breaker, and skipped deadlines all \
-       detected; controls clean)";
-    exit 0
-  end;
-  let results, controls =
-    if lockdep then begin
-      (* The lockdep mutants are control-flow bugs: one single-domain
-         round each, deterministic, no seeds or attempt budgets. *)
-      Printf.printf "lockdep mutation suite:\n%!";
-      ( Mutation.lockdep_all (),
-        if skip_controls then [] else Mutation.lockdep_controls () )
-    end
-    else begin
-      Printf.printf "mutation suite: seed=%d attempts=%d\n%!" seed attempts;
-      ( Mutation.all ~seed ~attempts (),
-        if skip_controls then [] else Mutation.controls ~seed () )
-    end
+  let module M = Repro_mutants.Mutation in
+  let suites =
+    List.filter_map
+      (fun (on, s) -> if on then Some s else None)
+      [ (lockdep, M.Lockdep); (chaos_suite, M.Chaos); (model_suite, M.Model) ]
   in
-  List.iter (fun r -> Printf.printf "  %s\n%!" (Mutation.pp_result r)) results;
-  List.iter (fun r -> Printf.printf "  %s\n%!" (Mutation.pp_result r)) controls;
-  let escaped = List.filter (fun r -> not r.Mutation.caught) results in
-  let tripped = List.filter (fun r -> r.Mutation.caught) controls in
-  if escaped <> [] then begin
-    Printf.eprintf "mutants: FAILED — seeded bug(s) not detected: %s\n"
-      (String.concat ", " (List.map (fun r -> r.Mutation.mutant) escaped));
+  let rows = M.select ~controls:(not skip_controls) suites in
+  let params = { M.seed; attempts } in
+  let failed =
+    List.fold_left
+      (fun (prev, failed) (row : M.row) ->
+        if prev <> Some row.suite then
+          Printf.printf "%s mutation suite%s:\n%!" (M.suite_name row.suite)
+            (if row.suite = M.Sanitizer then
+               Printf.sprintf " (seed=%d attempts=%d)" seed attempts
+             else "");
+        let r = M.run params row in
+        Printf.printf "  %s\n%!" (M.pp_result r);
+        (Some row.suite, if r.ok then failed else row.name :: failed))
+      (None, []) rows
+    |> snd |> List.rev
+  in
+  if failed <> [] then begin
+    Printf.eprintf
+      "mutants: FAILED — seeded bug(s) escaped or control(s) tripped: %s\n"
+      (String.concat ", " failed);
     exit 1
   end;
-  if tripped <> [] then begin
-    Printf.eprintf "mutants: FAILED — control run(s) raised violations: %s\n"
-      (String.concat ", " (List.map (fun r -> r.Mutation.mutant) tripped));
-    exit 1
-  end;
-  print_endline "mutants: OK (all seeded bugs detected, controls clean)"
+  let count k =
+    List.length (List.filter (fun (r : M.row) -> r.kind = k) rows)
+  in
+  Printf.printf
+    "mutants: OK (%d seeded bug(s) caught, %d control(s) silent)\n"
+    (count M.Mutant) (count M.Control)
 
 let balance_demo keys =
   let module T = Repro_citrus.Citrus_int.Epoch in
@@ -1325,29 +1215,29 @@ let mutants_cmd =
       value & flag
       & info [ "lockdep" ]
           ~doc:
-            "Run the lockdep mutation suite instead: seeded \
-             locking-protocol bugs (ABBA delete, synchronize inside a \
-             read section, unbalanced unlock) must each raise a \
-             structured lockdep violation, and clean lockdep-armed \
-             rounds over all flavours must stay silent.")
+            "Select the lockdep mutation suite: seeded locking-protocol \
+             bugs (ABBA delete, synchronize inside a read section, \
+             unbalanced unlock) must each raise a structured lockdep \
+             violation, and clean lockdep-armed rounds over all flavours \
+             must stay silent.")
   in
   let chaos_suite =
     Arg.(
       value & flag
       & info [ "chaos" ]
           ~doc:
-            "Run the chaos mutation instead: a supervisor that forgets the \
-             crashed updater's pending batch must lose accepted writes and \
-             be caught by the ledger audit, deterministically; the \
-             adopting supervisor must stay silent on the identical crash \
-             schedule.")
+            "Select the chaos mutation suite: a restarted updater that \
+             forgets the crashed one's pending batch, a breaker that never \
+             opens and a drain that applies expired writes must each be \
+             caught by the serving layer's audits, deterministically; the \
+             correct router must stay silent on the identical schedules.")
   in
   let model_suite =
     Arg.(
       value & flag
       & info [ "model" ]
           ~doc:
-            "Run the model-checker mutation suite instead: each seeded \
+            "Select the model-checker mutation suite: each seeded \
              protocol bug (skipped urcu flip, publish-before-init, stale \
              reclaimer cookie, ...) must produce a replayable \
              counterexample under exhaustive DPOR exploration, and every \
@@ -1356,14 +1246,13 @@ let mutants_cmd =
   Cmd.v
     (Cmd.info "mutants"
        ~doc:
-         "Prove the reclamation sanitizer catches seeded grace-period bugs \
-          (skipped synchronize, single urcu flip, qsbr quiescence inside a \
-          section) and stays quiet on the clean controls; with \
-          $(b,--lockdep), prove the same for the lockdep validator; with \
-          $(b,--chaos), prove the serving layer's crash-recovery audit \
-          catches a backlog-losing supervisor; with $(b,--model), prove \
-          the systematic-interleaving model checker catches seeded \
-          protocol bugs.")
+         "Run the seeded-bug table: every mutant must be caught by its \
+          suite's detector and every control must stay silent. By default \
+          the reclamation sanitizer suite runs (skipped synchronize, early \
+          free, single urcu flip, qsbr quiescence inside a section); \
+          $(b,--lockdep), $(b,--chaos) and $(b,--model) select the \
+          lockdep, serving-layer audit and model-checker suites instead, \
+          and together select the union of their suites.")
     Term.(
       const mutants $ seed $ attempts $ skip_controls $ lockdep $ chaos_suite
       $ model_suite)

@@ -36,6 +36,10 @@
       lib/baselines/rb_rcu.ml. Anywhere else they mark a second,
       hand-rolled retire path growing back; retire through
       [Reclaimer.call_rcu ?shadow] instead.
+   8. No second seeded-bug switch: no module named [Buggy], and no
+      labelled or optional parameter named [mutate...] or
+      [forget_backlog]. A seeded bug is a [bug.*] fault point at its
+      site plus one row of the mutant table (lib/mutants).
 
    Exits 1 with file:line diagnostics on any violation, silently 0
    otherwise. *)
@@ -106,6 +110,30 @@ let retire_owners =
     "lib/baselines/rb_rcu.ml";
     "lib/sanitizer/sanitizer.ml";
   ]
+
+(* Rule 8: the shapes a per-module seeded-bug switch takes. *)
+let is_bug_switch_param = function
+  | Asttypes.Labelled l | Asttypes.Optional l ->
+      String.starts_with ~prefix:"mutate" l || l = "forget_backlog"
+  | Asttypes.Nolabel -> false
+
+let check_bug_module ~file ~line = function
+  | Some "Buggy" ->
+      err ~file ~line
+        "a module named Buggy: a second seeded-bug switch mechanism — \
+         register a bug.* fault point at the site and a mutant table row \
+         instead"
+  | _ -> ()
+
+let check_bug_param ~file ~line label =
+  if is_bug_switch_param label then
+    err ~file ~line
+      "parameter %s: a second seeded-bug switch mechanism — register a \
+       bug.* fault point at the site and a mutant table row instead"
+      (match label with
+      | Asttypes.Labelled l -> "~" ^ l
+      | Asttypes.Optional l -> "?" ^ l
+      | Asttypes.Nolabel -> "_")
 
 (* --- parsetree rules --- *)
 
@@ -278,6 +306,10 @@ let check_file file =
           expr =
             (fun it e ->
               (match e.pexp_desc with
+              | Pexp_fun (label, _, _, _) ->
+                  check_bug_param ~file ~line:(line_of e.pexp_loc) label
+              | Pexp_letmodule (name, _, _) ->
+                  check_bug_module ~file ~line:(line_of name.loc) name.txt
               | Pexp_ident lid ->
                   check_modules ~file ~all:false lid;
                   check_retire ~file lid
@@ -308,10 +340,22 @@ let check_file file =
           typ =
             (fun it t ->
               (match t.ptyp_desc with
+              | Ptyp_arrow (label, _, _) ->
+                  check_bug_param ~file ~line:(line_of t.ptyp_loc) label
               | Ptyp_constr (lid, _) -> check_modules ~file ~all:false lid
               | Ptyp_class (lid, _) -> check_modules ~file ~all:false lid
               | _ -> ());
               Ast_iterator.default_iterator.typ it t);
+          module_binding =
+            (fun it mb ->
+              check_bug_module ~file ~line:(line_of mb.pmb_name.loc)
+                mb.pmb_name.txt;
+              Ast_iterator.default_iterator.module_binding it mb);
+          module_declaration =
+            (fun it md ->
+              check_bug_module ~file ~line:(line_of md.pmd_name.loc)
+                md.pmd_name.txt;
+              Ast_iterator.default_iterator.module_declaration it md);
           module_expr =
             (fun it m ->
               (match m.pmod_desc with

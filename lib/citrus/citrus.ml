@@ -20,25 +20,17 @@ let fault_delete_window = Fault.register "citrus.delete.window"
    broken grace period reclaim the very node the reader stands on. *)
 let fault_read_step = Fault.register "citrus.read.step"
 
-(* Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md and
-   lib/citrus/mutation.ml): each seeds one locking-protocol bug into the
-   real update paths — an inverted lock order in delete, a grace-period
-   wait from inside a read-side critical section, and an unlock of a lock
-   the caller never took. A lockdep-armed run must turn each into a
-   structured [Lockdep.Violation]; a disarmed ABBA delete would deadlock
-   and a disarmed sync-in-read would self-deadlock, so these are only ever
-   set by the single-domain, lockdep-armed mutation hunts. Registered
-   outside the functor, like the fault points: one switch per bug shared
-   by every instantiation. *)
-let abba_delete_bug = Atomic.make false
-let sync_in_read_bug = Atomic.make false
-let unbalanced_unlock_bug = Atomic.make false
-
-module Buggy = struct
-  let abba_delete b = Atomic.set abba_delete_bug b
-  let sync_in_read b = Atomic.set sync_in_read_bug b
-  let unbalanced_unlock b = Atomic.set unbalanced_unlock_bug b
-end
+(* Seeded bugs for the lockdep validator (ROBUSTNESS.md, "Mutation
+   suite"): each point seeds one locking-protocol bug into the real update
+   paths — an inverted lock order in delete, a grace-period wait from
+   inside a read-side critical section, and an unlock of a lock the caller
+   never took. A lockdep-armed run must turn each into a structured
+   [Lockdep.Violation]; with lockdep disarmed an ABBA delete would
+   deadlock and a sync-in-read would self-deadlock, so only the
+   single-domain, lockdep-armed mutant hunts arm them. *)
+let bug_abba_delete = Fault.register "bug.citrus.abba_delete"
+let bug_sync_in_read = Fault.register "bug.citrus.sync_in_read"
+let bug_unbalanced_unlock = Fault.register "bug.citrus.unbalanced_unlock"
 
 module type ORDERED = sig
   type t
@@ -436,7 +428,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
              word is touched; prev's lock is left held, wedging the tree,
              so the hunt discards it. *)
           Spinlock.release
-            (if Atomic.get unbalanced_unlock_bug then lock_of node
+            (if Fault.enabled () && Fault.fires bug_unbalanced_unlock then
+               lock_of node
              else prev_lock);
           Stats.incr t.inserts h.id;
           true
@@ -483,7 +476,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         let prev = h.prev and direction = h.dir in
         t.hooks.between_get_and_lock ();
         let prev_lock = lock_of prev in
-        if Atomic.get abba_delete_bug then begin
+        if Fault.enabled () && Fault.fires bug_abba_delete then begin
           (* Seeded bug (lockdep mutant): child before parent — against a
              concurrent top-down update this is the classic ABBA deadlock.
              Armed lockdep raises [Order_inversion] at the second
@@ -573,9 +566,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                    that could still find the successor only in its old
                    position completes first (line 74). Two ways to pay for
                    that wait: *)
+                let sync_in_read =
+                  Fault.enabled () && Fault.fires bug_sync_in_read
+                in
                 (match (t.reclaimer, h.bag, t.self_bag) with
-                | Some rc, Some bag, Some self_bag
-                  when not (Atomic.get sync_in_read_bug) ->
+                | Some rc, Some bag, Some self_bag when not sync_in_read ->
                     (* call_rcu: hand the grace-period-then-unlink
                        continuation to the background reclaimer and return
                        now — the updater never blocks. The window state is
@@ -631,7 +626,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                        inside [synchronize] (piggybacking on a grace period
                        already in flight) rather than each driving its own
                        scan. *)
-                    if Atomic.get sync_in_read_bug then begin
+                    if sync_in_read then begin
                       (* Seeded bug (lockdep mutant): the grace-period wait
                          issued from *inside* a read-side critical section —
                          the waiter is its own blocking reader, so disarmed

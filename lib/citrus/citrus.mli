@@ -25,28 +25,6 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-(** Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md
-    and {!Mutation}): each switch seeds one locking-protocol bug into the
-    real update paths of {e every} [Make] instantiation. A lockdep-armed
-    run must report each as a structured [Repro_lockdep.Lockdep.Violation];
-    disarmed, [abba_delete] and [sync_in_read] genuinely deadlock, so
-    these are only ever set by the single-domain, lockdep-armed mutation
-    hunts. Never set outside the mutation suite. *)
-module Buggy : sig
-  val abba_delete : bool -> unit
-  (** [delete] takes curr's lock before prev's — the inverted-order half
-      of an ABBA deadlock ([Order_inversion]). *)
-
-  val sync_in_read : bool -> unit
-  (** The two-child delete issues its grace-period wait from inside a
-      read-side critical section ([Sync_in_read_section]). *)
-
-  val unbalanced_unlock : bool -> unit
-  (** [insert]'s success path unlocks the lock of the node it just
-      published — never taken by the caller — instead of prev's
-      ([Release_not_held]). *)
-end
-
 module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
   type 'v t
   (** A Citrus tree mapping keys [K.t] to values ['v]. *)

@@ -1,6 +1,6 @@
 (* Test-only seeded mutant: Citrus over an RCU flavour whose grace
    periods are no-ops. Exists solely so the mutation suite
-   ([Mutation], [citrus_tool mutants]) can prove the reclamation
+   ([Repro_mutants.Mutation], [citrus_tool mutants]) can prove the reclamation
    sanitizer detects the resulting premature reclamation. Never use in
    production code or benchmarks. *)
 

@@ -3,8 +3,9 @@
     {!Make} builds a Citrus tree whose RCU flavour has a broken grace
     period: [synchronize] returns immediately and [poll] always claims
     the grace period elapsed, so deferred reclamation frees nodes while
-    pre-existing readers can still reach them. This is mutant (a) of the
-    mutation suite ([Mutation]): a run of it under the armed reclamation
+    pre-existing readers can still reach them. This is the
+    [citrus-skip-synchronize] row of the mutant table
+    ([Repro_mutants.Mutation]): a run of it under the armed reclamation
     sanitizer must raise [Sanitizer.Violation], proving the sanitizer
     actually detects the bug class the two-child delete's [synchronize]
     prevents. *)

@@ -252,6 +252,21 @@ let catalogue =
     "torture.reader.hold";
     "server.updater.crash";
     "server.drain.stall";
+    "rcu.reclaim.crash";
+    "server.enqueue";
+    "server.drain";
+    (* Seeded bugs: each [bug.*] point, armed at rate 1.0, switches on one
+       deliberate defect at its site so a mutant hunt can prove a checker
+       catches it (the mutant table in lib/mutants). *)
+    "bug.urcu.single_flip";
+    "bug.qsbr.quiescent_in_section";
+    "bug.reclaimer.early_free";
+    "bug.citrus.abba_delete";
+    "bug.citrus.sync_in_read";
+    "bug.citrus.unbalanced_unlock";
+    "bug.router.forget_backlog";
+    "bug.router.skip_deadline";
+    "bug.breaker.never_open";
   ]
 
 let () = List.iter (fun n -> ignore (register n)) catalogue

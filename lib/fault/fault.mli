@@ -63,7 +63,10 @@ val inject : t -> unit
 val fires : t -> bool
 (** The coin alone, for call sites that implement the fault themselves
     (e.g. the reclaimer's extra grace period at "defer.flush"). Counts a
-    hit, and a fire when true. *)
+    hit, and a fire when true. Every seeded bug is such a site: a
+    [bug.*] point guards one deliberate defect as
+    [if Fault.enabled () && Fault.fires p then (* the bug *)], and the
+    mutant table arms it at rate 1.0. *)
 
 val set : ?action:action -> string -> rate:float -> unit
 (** Arm point [name] to fire on [rate] of arrivals ([0] disarms; [1] fires

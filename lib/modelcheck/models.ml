@@ -213,7 +213,7 @@ let urcu_scenario mutant =
    updater (unpublish + one scan + free). Mutant: the nested read_lock
    refreshes the slot to the current counter — announcing quiescence
    from inside the section, QSBR's cardinal sin (the same seeded bug as
-   Qsbr.Buggy.quiescent_in_section). *)
+   the bug.qsbr.quiescent_in_section fault point in Qsbr). *)
 type qsbr_mutant = Q_none | Q_quiesce_in_section
 
 let qsbr_scenario mutant =

@@ -52,16 +52,11 @@ let name = "qsbr"
    that stops announcing quiescence) bites hardest. *)
 let fault_wait = Fault.register "qsbr.wait"
 
-(* Mutation-testing hook (see ROBUSTNESS.md and lib/citrus/mutation.ml):
-   when set, every *nested* read_lock refreshes the slot to the current
-   grace-period counter — announcing a quiescent state while still inside
-   the critical section, QSBR's cardinal sin. Never set outside the
-   mutation suite. *)
-let quiesce_in_section_bug = Atomic.make false
-
-module Buggy = struct
-  let quiescent_in_section b = Atomic.set quiesce_in_section_bug b
-end
+(* Seeded bug (ROBUSTNESS.md, "Mutation suite"): when it fires, a
+   *nested* read_lock refreshes the slot to the current grace-period
+   counter — announcing a quiescent state while still inside the critical
+   section, QSBR's cardinal sin. *)
+let bug_quiescent_in_section = Fault.register "bug.qsbr.quiescent_in_section"
 
 let create ?(max_threads = 128) () =
   {
@@ -113,7 +108,7 @@ let read_lock th =
       Stats.incr Metrics.rcu_read_sections th.index;
     Trace.record Read_enter th.index
   end
-  else if Atomic.get quiesce_in_section_bug then
+  else if Fault.enabled () && Fault.fires bug_quiescent_in_section then
     (* Seeded bug (c): a nested entry treated as a quiescent state — the
        slot jumps to the current counter, releasing any scan that was
        waiting for this (still running) section. *)

@@ -37,16 +37,3 @@ val offline : thread -> unit
 val quiescent_state : thread -> unit
 (** Announce a quiescent point without going offline. Call between — never
     inside — read-side critical sections. *)
-
-(** {2 Mutation-testing hook — never use outside the mutation suite} *)
-
-module Buggy : sig
-  val quiescent_in_section : bool -> unit
-  (** When on, every {e nested} [read_lock] announces a quiescent state —
-      refreshing the slot to the current grace-period counter while the
-      thread is still inside its critical section, QSBR's cardinal sin
-      (a scan waiting on this reader is released early). Exists solely so
-      the mutation suite ([Repro_citrus.Mutation]) can prove the
-      reclamation sanitizer detects the resulting premature reclamation.
-      Turn off again immediately after the run. *)
-end

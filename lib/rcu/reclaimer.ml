@@ -71,16 +71,11 @@ let set_gp_stall_ns n =
 
 let gp_stall_ns () = Atomic.get default_gp_stall_ns
 
-(* Test-only seeded mutant: a reclaimer that frees without waiting for the
-   retired pointer's grace period — the early-free bug class the whole
-   cookie discipline exists to prevent. Set only by the mutation suite
-   ([Repro_citrus.Mutation], [citrus_tool mutants]); the sanitizer must
-   turn it into a [San.Violation] deterministically. *)
-let early_free_bug = Atomic.make false
-
-module Buggy = struct
-  let early_free b = Atomic.set early_free_bug b
-end
+(* Seeded bug (ROBUSTNESS.md, "Mutation suite"): when it fires, the
+   reclaimer frees without waiting for the retired pointer's grace period
+   — the early-free bug class the whole cookie discipline exists to
+   prevent; the sanitizer must turn it into a [San.Violation]. *)
+let bug_early_free = Fault.register "bug.reclaimer.early_free"
 
 (* Fault point: fires at the top of every reclaim pass, before anything is
    gathered out of the bags — a raise action kills the incarnation at the
@@ -237,7 +232,8 @@ module Make (R : Rcu_intf.S) = struct
   (* The seeded early-free mutant skips the wait — that free races
      pre-existing readers, which is what the sanitizer catches. *)
   let wait t cookie =
-    if not (Atomic.get early_free_bug) then timed_synchronize t cookie
+    if not (Fault.enabled () && Fault.fires bug_early_free) then
+      timed_synchronize t cookie
 
   (* The elision path: most items in a batch share (or trail) the first
      item's grace period, so after one real wait the rest are satisfied

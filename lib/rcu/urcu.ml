@@ -50,19 +50,14 @@ let fault_pre_flip = Fault.register "urcu.sync.pre_flip"
 (* Fault point: fires in the outermost read_lock between loading the
    global phase and publishing it in the slot — the stale-phase window
    the two-flip handshake exists for. Stretching it (and crippling the
-   handshake with [Buggy.single_flip]) is how the mutation suite proves
+   handshake with [bug_single_flip]) is how the mutation suite proves
    the reclamation sanitizer catches a single-flip urcu. *)
 let fault_read_enter = Fault.register "urcu.read.enter"
 
-(* Mutation-testing hook (see ROBUSTNESS.md and lib/citrus/mutation.ml):
-   when set, [synchronize] performs only ONE phase flip + reader wait
-   instead of liburcu's two — the classic broken-urcu bug. Never set
-   outside the mutation suite. *)
-let single_flip_bug = Atomic.make false
-
-module Buggy = struct
-  let single_flip b = Atomic.set single_flip_bug b
-end
+(* Seeded bug (ROBUSTNESS.md, "Mutation suite"): when it fires,
+   [synchronize] performs only ONE phase flip + reader wait instead of
+   liburcu's two — the classic broken-urcu bug. *)
+let bug_single_flip = Fault.register "bug.urcu.single_flip"
 
 (* One lockdep class for every urcu instance's grace-period lock: its
    role in the dependency graph (GP waits serialize behind it, tree-node
@@ -195,7 +190,7 @@ let synchronize rcu =
     (try
        Atomic.set rcu.gp_ctr (Atomic.get rcu.gp_ctr lxor phase_bit);
        wait_for_readers rcu t0;
-       if not (Atomic.get single_flip_bug) then begin
+       if not (Fault.enabled () && Fault.fires bug_single_flip) then begin
          Atomic.set rcu.gp_ctr (Atomic.get rcu.gp_ctr lxor phase_bit);
          wait_for_readers rcu t0
        end

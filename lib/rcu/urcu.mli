@@ -22,16 +22,3 @@ include Rcu_intf.S
 
 val read_depth : thread -> int
 (** Current read-side nesting depth (from the thread's own word); for tests. *)
-
-(** {2 Mutation-testing hook — never use outside the mutation suite} *)
-
-module Buggy : sig
-  val single_flip : bool -> unit
-  (** When on, [synchronize] performs only {e one} phase flip + reader
-      wait instead of two — the classic broken-urcu bug a single flip
-      cannot distinguish: a reader that loaded the old phase just before
-      the flip but published it just after is invisibly missed. Exists
-      solely so the mutation suite ([Repro_citrus.Mutation]) can prove
-      the reclamation sanitizer detects the resulting premature
-      reclamation. Turn off again immediately after the run. *)
-end

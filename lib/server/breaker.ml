@@ -2,6 +2,7 @@ module Metrics = Repro_sync.Metrics
 module Stats = Repro_sync.Stats
 module Trace = Repro_sync.Trace
 module Rng = Repro_sync.Rng
+module Fault = Repro_fault.Fault
 
 (* Per-shard circuit breaker: Closed -> Open on a rolling-window failure
    rate (rejects, deadline expiries) or an updater crash; Open rejects
@@ -54,7 +55,6 @@ type t = {
   shard : int;
   cfg : config;
   seed : int64;
-  never_open : bool; (* seeded mutation: [trip] is a no-op *)
   s : int Atomic.t; (* 0 closed, 1 open, 2 half_open *)
   win_start : int Atomic.t;
   win_succ : int Atomic.t;
@@ -67,8 +67,12 @@ type t = {
   probe_succ : int Atomic.t;
 }
 
-let create ?(config = default_config) ?(seed = 42L)
-    ?(mutate_never_open = false) ~shard () =
+(* Seeded bug (ROBUSTNESS.md, "Mutation suite"): when it fires, [trip] is
+   a no-op, so the breaker never opens and overload feedback is silently
+   lost. *)
+let bug_never_open = Fault.register "bug.breaker.never_open"
+
+let create ?(config = default_config) ?(seed = 42L) ~shard () =
   if config.window_ns <= 0 then
     invalid_arg "Breaker.create: window_ns must be positive";
   if config.min_samples <= 0 then
@@ -83,7 +87,6 @@ let create ?(config = default_config) ?(seed = 42L)
     shard;
     cfg = config;
     seed;
-    never_open = mutate_never_open;
     s = Atomic.make 0;
     win_start = Atomic.make 0;
     win_succ = Atomic.make 0;
@@ -130,7 +133,7 @@ let rotate t ~now_ns =
    [open_until] is published before the state CAS so no admitter can
    observe Open with a stale deadline. *)
 let rec trip t ~now_ns =
-  if not t.never_open then
+  if not (Fault.enabled () && Fault.fires bug_never_open) then
     match Atomic.get t.s with
     | 1 -> ()
     | c ->

@@ -71,16 +71,15 @@ type t
 val create :
   ?config:config ->
   ?seed:int64 ->
-  ?mutate_never_open:bool ->
   shard:int ->
   unit ->
   t
 (** A fresh breaker in [Closed]. [seed] (default 42) drives the open-
     interval jitter — give each shard [logxor run_seed shard_salt] so
-    shards decorrelate while the run stays reproducible.
-    [mutate_never_open] is a {e seeded defect} for the chaos audit
-    (citrus_tool mutants --chaos): tripping becomes a no-op, so the
-    breaker never opens and overload feedback is silently lost.
+    shards decorrelate while the run stays reproducible. Arming the
+    ["bug.breaker.never_open"] fault point seeds the chaos mutant
+    [breaker-never-opens] (ROBUSTNESS.md): tripping becomes a no-op, so
+    the breaker never opens and overload feedback is silently lost.
     @raise Invalid_argument on a non-positive window, sample, probe or
       interval parameter, a [failure_pct] outside [1, 100], or
       [open_max_ns < open_base_ns]. *)

@@ -420,12 +420,17 @@ let json (c : cfg) (r : result) =
       ("failures", Json.List (List.map (fun s -> Json.String s) r.failures));
     ]
 
-(* --- the seeded mutation ---
+(* --- the seeded mutations ---
+
+   Each scenario below runs the real router under whatever [bug.*] fault
+   points the caller armed (the mutant table in lib/mutants arms one at
+   rate 1.0 for the mutant and none for the control) and reports whether
+   its audit caught a defect.
 
    The backlog-adoption property deserves its own mutation test: a
-   supervisor that forgets the crashed updater's pending batch
-   ([mutate_forget_backlog]) must be caught deterministically, and the
-   correct supervisor must stay silent under the identical schedule.
+   restarted updater that forgets the crashed one's pending batch
+   ([bug.router.forget_backlog]) must be caught deterministically, and
+   the correct router must stay silent under the identical schedule.
 
    Determinism: the writes are enqueued *before* [start], so the first
    drain splices a full 64-entry batch, and the armed one-shot crash
@@ -440,7 +445,7 @@ type mutation_result = {
   caught : bool;
 }
 
-let mutation ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
+let mutation (dict : (module Repro_dict.Dict.DICT)) =
   let module D = (val dict) in
   let module S = Shard_router.Make (D) in
   let policy =
@@ -453,7 +458,7 @@ let mutation ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
   in
   let t =
     S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4
-      ~supervisor:policy ~mutate_forget_backlog:mutate ()
+      ~supervisor:policy ()
   in
   let h = S.register t in
   let n = 100 in
@@ -478,7 +483,7 @@ let mutation ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
 
    An updater crash must open the shard's circuit breaker (the
    [Supervisor.on_crash] hook), and an open breaker must reject the next
-   write. [mutate_breaker_never_opens] turns trips into no-ops; the
+   write. [bug.breaker.never_open] turns trips into no-ops; the
    mutant is caught when either half of that chain is missing.
 
    Determinism: a single shard, a single armed crash consumed by a
@@ -494,7 +499,7 @@ type breaker_mutation_result = {
   caught : bool;  (** the crash-to-breaker feedback chain is broken *)
 }
 
-let mutation_breaker ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
+let mutation_breaker (dict : (module Repro_dict.Dict.DICT)) =
   let module D = (val dict) in
   let module S = Shard_router.Make (D) in
   let policy =
@@ -517,7 +522,7 @@ let mutation_breaker ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
   in
   let t =
     S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4
-      ~supervisor:policy ~breaker ~mutate_breaker_never_opens:mutate ()
+      ~supervisor:policy ~breaker ()
   in
   let h = S.register t in
   S.start t;
@@ -558,7 +563,7 @@ let mutation_breaker ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
 (* --- deadline mutation ---
 
    The updater's drain must expire queued entries whose deadline has
-   passed instead of applying them. [mutate_skip_deadline] removes the
+   passed instead of applying them. [bug.router.skip_deadline] removes the
    drain-side check; the mutant is caught when already-dead work still
    reaches the tree.
 
@@ -574,12 +579,11 @@ type deadline_mutation_result = {
   caught : bool;  (** expired work reached the tree *)
 }
 
-let mutation_deadline ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
+let mutation_deadline (dict : (module Repro_dict.Dict.DICT)) =
   let module D = (val dict) in
   let module S = Shard_router.Make (D) in
   let t =
-    S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4
-      ~mutate_skip_deadline:mutate ()
+    S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4 ()
   in
   let h = S.register t in
   let n = 50 in

@@ -32,12 +32,16 @@
     applied).
 
     {!mutation}, {!mutation_breaker} and {!mutation_deadline} are the
-    seeded-bug half: a supervisor that forgets the crashed updater's
-    pending batch ([mutate_forget_backlog]), a breaker whose trips are
-    no-ops ([mutate_breaker_never_opens]) and a drain that applies
-    expired entries ([mutate_skip_deadline]) must each be caught
-    deterministically while the correct implementation stays silent on
-    the identical schedule — the same discipline as the sanitizer and
+    seeded-bug half. Each runs a fixed, deterministic schedule under
+    whatever fault points the caller armed and reports whether its audit
+    caught a defect. The mutant table ([Repro_mutants.Mutation]) runs
+    each once with its [bug.*] point armed at rate 1.0 — a restarted
+    updater that forgets the crashed one's pending batch
+    (["bug.router.forget_backlog"]), a breaker whose trips are no-ops
+    (["bug.breaker.never_open"]), a drain that applies expired entries
+    (["bug.router.skip_deadline"]) — and once with nothing armed: every
+    mutant must be caught while the correct implementation stays silent
+    on the identical schedule, the same discipline as the sanitizer and
     lockdep mutation suites (ROBUSTNESS.md). *)
 
 type cfg = {
@@ -126,14 +130,14 @@ type mutation_result = {
   caught : bool;  (** the audit detected the loss *)
 }
 
-val mutation : ?mutate:bool -> (module Repro_dict.Dict.DICT) -> mutation_result
+val mutation : (module Repro_dict.Dict.DICT) -> mutation_result
 (** Deterministic single-shard scenario: 100 inserts enqueued before
     [start], a one-shot crash armed to fire at entry 0 of the first
-    64-entry batch, drain on shutdown. With [mutate:true] (the seeded
-    bug: the supervisor drops the pending batch on restart) the batch is
+    64-entry batch, drain on shutdown. With ["bug.router.forget_backlog"]
+    armed (the restarted updater drops the pending batch) the batch is
     lost and [caught] is true — deterministically, because the crash
-    always lands with the full batch unapplied. With [mutate:false] the
-    control must stay silent ([caught = false], nothing lost).
+    always lands with the full batch unapplied. Disarmed, the control
+    must stay silent ([caught = false], nothing lost).
     @raise Invalid_argument if the scenario itself misbehaves (enqueue
       rejected, shutdown forced). *)
 
@@ -147,14 +151,14 @@ type breaker_mutation_result = {
 }
 
 val mutation_breaker :
-  ?mutate:bool -> (module Repro_dict.Dict.DICT) -> breaker_mutation_result
+  (module Repro_dict.Dict.DICT) -> breaker_mutation_result
 (** Deterministic single-shard scenario: one armed crash consumed by one
     write, then a second write while the breaker should be open (the
     open interval is configured at 2 s nominal, so jitter keeps it
     >= 1 s — far wider than the write). The control trips at crash time
     via the supervisor's [on_crash] hook and rejects the second write
-    with [Breaker_open] ([caught = false]); with [mutate:true]
-    ([mutate_breaker_never_opens]) the trip is a no-op, the write is
+    with [Breaker_open] ([caught = false]); with
+    ["bug.breaker.never_open"] armed the trip is a no-op, the write is
     admitted, and [caught] is true.
     @raise Invalid_argument if the scenario itself misbehaves. *)
 
@@ -167,12 +171,12 @@ type deadline_mutation_result = {
 }
 
 val mutation_deadline :
-  ?mutate:bool -> (module Repro_dict.Dict.DICT) -> deadline_mutation_result
+  (module Repro_dict.Dict.DICT) -> deadline_mutation_result
 (** Deterministic single-shard scenario: 50 inserts enqueued before
     [start] with a 20 ms deadline (live at admission, so the
     dead-on-arrival check passes), a 60 ms sleep, then [start] and
     drain. Every entry is expired by the time the first drain runs: the
     control applies none ([applied = 0], [caught = false]); with
-    [mutate:true] ([mutate_skip_deadline]) the drain applies all 50 and
+    ["bug.router.skip_deadline"] armed the drain applies all 50 and
     [caught] is true.
     @raise Invalid_argument if the scenario itself misbehaves. *)

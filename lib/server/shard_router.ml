@@ -62,6 +62,13 @@ type shutdown_result = Drained | Forced of drain_report list
 
 let fp_crash = Fault.register "server.updater.crash"
 
+(* Seeded bugs (ROBUSTNESS.md, "Mutation suite"), each caught by a chaos
+   mutant: a restarted updater that drops its crashed predecessor's
+   pending batch instead of adopting it, and a drain that applies entries
+   whose deadline already passed. *)
+let bug_forget_backlog = Fault.register "bug.router.forget_backlog"
+let bug_skip_deadline = Fault.register "bug.router.skip_deadline"
+
 module Make (D : Repro_dict.Dict.DICT) = struct
   type shard = {
     table : D.t;
@@ -86,8 +93,6 @@ module Make (D : Repro_dict.Dict.DICT) = struct
     drain_batch : int;
     policy : Supervisor.policy;
     seed : int64;
-    mutate_forget_backlog : bool;
-    mutate_skip_deadline : bool;
     stop : bool Atomic.t;
     abandon : bool Atomic.t; (* forced shutdown: exit without draining *)
     mutable supervisors : Supervisor.t array; (* [||] until start *)
@@ -105,9 +110,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
   let create ?(shards = 4) ?(queue_depth = 1024) ?(drain_batch = 64)
       ?(max_clients = 64) ?(supervisor = Supervisor.default_policy)
       ?high_frac ?low_frac ?pressure_high ?pressure_low ?breaker
-      ?(seed = 42L) ?(mutate_forget_backlog = false)
-      ?(mutate_breaker_never_opens = false) ?(mutate_skip_deadline = false)
-      () =
+      ?(seed = 42L) () =
     if shards <= 0 then
       invalid_arg "Shard_router.create: shards must be positive";
     if drain_batch <= 0 then
@@ -127,7 +130,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
                   ?pressure_low ~shard:i ~capacity:queue_depth ();
               breaker =
                 Breaker.create ?config:breaker ~seed:(shard_seed seed i)
-                  ~mutate_never_open:mutate_breaker_never_opens ~shard:i ();
+                  ~shard:i ();
               crash_flag = Atomic.make false;
               pending = Atomic.make [||];
               pending_at = Atomic.make 0;
@@ -135,8 +138,6 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       drain_batch;
       policy = supervisor;
       seed;
-      mutate_forget_backlog;
-      mutate_skip_deadline;
       stop = Atomic.make false;
       abandon = Atomic.make false;
       supervisors = [||];
@@ -234,7 +235,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       let now = Metrics.now_ns () in
       if
         e.deadline_ns > 0 && now > e.deadline_ns
-        && not t.mutate_skip_deadline
+        && not (Fault.enabled () && Fault.fires bug_skip_deadline)
       then begin
         (* Expired in the queue: complete as [Expired] without applying.
            The client (if waiting) unblocks with the honest verdict, and
@@ -285,7 +286,16 @@ module Make (D : Repro_dict.Dict.DICT) = struct
     in
     let run () =
       (* A non-empty [pending] here is a crashed predecessor's adopted
-         batch: every remaining entry resolves [Replayed]. *)
+         batch: every remaining entry resolves [Replayed] — unless the
+         seeded bug drops it, losing accepted writes. *)
+      if
+        Fault.enabled ()
+        && Array.length (Atomic.get shard.pending) > 0
+        && Fault.fires bug_forget_backlog
+      then begin
+        Atomic.set shard.pending [||];
+        Atomic.set shard.pending_at 0
+      end;
       apply_pending ~replayed:true;
       let rec loop () =
         if not (Atomic.get t.abandon) then begin
@@ -376,13 +386,6 @@ module Make (D : Repro_dict.Dict.DICT) = struct
                    schedule, not swamped the instant it adopts the
                    backlog. *)
                 Breaker.on_crash s.breaker ~now_ns:(Metrics.now_ns ()))
-              ?forget_backlog:
-                (if t.mutate_forget_backlog then
-                   Some
-                     (fun () ->
-                       Atomic.set s.pending [||];
-                       Atomic.set s.pending_at 0)
-                 else None)
               ~shard:i
               ~abort:(fun () -> Atomic.get t.abandon)
               ~on_failed:(fun _ ->

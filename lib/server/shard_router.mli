@@ -99,9 +99,6 @@ module Make (D : Repro_dict.Dict.DICT) : sig
     ?pressure_low:float ->
     ?breaker:Breaker.config ->
     ?seed:int64 ->
-    ?mutate_forget_backlog:bool ->
-    ?mutate_breaker_never_opens:bool ->
-    ?mutate_skip_deadline:bool ->
     unit ->
     t
   (** Defaults: 4 shards, queue depth 1024, drain batch 64, 64 clients,
@@ -114,12 +111,12 @@ module Make (D : Repro_dict.Dict.DICT) : sig
       derives every shard's deterministic jitter streams (breaker open
       intervals, supervisor restart backoff) via per-shard golden-ratio
       salts, so a run is reproducible end to end while shards stay
-      decorrelated. [mutate_forget_backlog] (supervisor drops the
-      pending batch on restart), [mutate_breaker_never_opens] (breaker
-      trips become no-ops) and [mutate_skip_deadline] (the drain applies
-      expired entries anyway) seed the chaos mutations — for the
-      mutation harness only, see {!Chaos}. No domains are spawned;
-      writes enqueued before {!start} sit in the queues.
+      decorrelated. No domains are spawned; writes enqueued before
+      {!start} sit in the queues. The chaos mutants ({!Chaos}) seed
+      their bugs by arming fault points, not through parameters:
+      ["bug.router.forget_backlog"] (a restarted updater drops the
+      adopted batch), ["bug.router.skip_deadline"] (the drain applies
+      expired entries) and ["bug.breaker.never_open"].
       @raise Invalid_argument on non-positive parameters. *)
 
   val n_shards : t -> int

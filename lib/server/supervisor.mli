@@ -45,7 +45,6 @@ val start :
   ?policy:policy ->
   ?jitter_seed:int64 ->
   ?on_crash:(exn -> unit) ->
-  ?forget_backlog:(unit -> unit) ->
   shard:int ->
   abort:(unit -> bool) ->
   on_failed:(exn -> unit) ->
@@ -62,10 +61,7 @@ val start :
     deterministic stream, so shards felled by one fault respawn
     decorrelated yet reproducibly — give each shard
     [logxor run_seed shard_salt]. Unset = jitter-free (exact doubling),
-    preserving old behaviour. [forget_backlog] is a seeded chaos
-    mutation hook (run just before each respawn); production callers
-    leave it unset — see {!Chaos.mutation}. [shard] labels traces and
-    metrics.
+    preserving old behaviour. [shard] labels traces and metrics.
     @raise Invalid_argument on a nonsensical policy. *)
 
 val shard : t -> int

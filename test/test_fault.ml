@@ -12,6 +12,7 @@ module Fault = Repro_fault.Fault
 module San = Repro_sanitizer.Sanitizer
 module Stall = Repro_rcu.Rcu.Stall
 module Torture = Repro_rcu.Torture
+module Mutation = Repro_mutants.Mutation
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -83,6 +84,35 @@ let test_counters () =
           checkb "fired is a nontrivial fraction" true
             (fired > 0 && fired < 200))
 
+(* The full fault-point catalogue, as ROBUSTNESS.md documents it. *)
+let catalogue =
+  [
+    "urcu.sync.pre_flip";
+    "urcu.read.enter";
+    "qsbr.wait";
+    "epoch.advance";
+    "defer.flush";
+    "lock.spin.acquire";
+    "lock.ticket.acquire";
+    "citrus.delete.window";
+    "citrus.read.step";
+    "torture.reader.hold";
+    "server.updater.crash";
+    "server.drain.stall";
+    "rcu.reclaim.crash";
+    "server.enqueue";
+    "server.drain";
+    "bug.urcu.single_flip";
+    "bug.qsbr.quiescent_in_section";
+    "bug.reclaimer.early_free";
+    "bug.citrus.abba_delete";
+    "bug.citrus.sync_in_read";
+    "bug.citrus.unbalanced_unlock";
+    "bug.router.forget_backlog";
+    "bug.router.skip_deadline";
+    "bug.breaker.never_open";
+  ]
+
 let test_unknown_point () =
   isolated (fun () ->
       Alcotest.check_raises "strict set"
@@ -91,17 +121,15 @@ let test_unknown_point () =
       checkb "find is total" true (Fault.find "no.such.point" = None);
       (* The subsystem catalogue is pre-registered even before any fault
          call site has executed. *)
+      List.iter (fun n -> checkb n true (Fault.find n <> None)) catalogue;
+      (* ... and it is complete: every point a linked subsystem registers
+         is in it (tests register ad-hoc [test.*] points of their own). *)
       List.iter
-        (fun n -> checkb n true (Fault.find n <> None))
-        [
-          "urcu.sync.pre_flip";
-          "qsbr.wait";
-          "epoch.advance";
-          "defer.flush";
-          "lock.spin.acquire";
-          "lock.ticket.acquire";
-          "citrus.delete.window";
-        ])
+        (fun p ->
+          let n = Fault.name p in
+          if not (String.starts_with ~prefix:"test." n) then
+            checkb (n ^ " catalogued") true (List.mem n catalogue))
+        (Fault.points ()))
 
 let test_parse_spec () =
   let ok spec expected =
@@ -318,6 +346,97 @@ let test_citrus_faults () =
       checkb "retirements happened" true
         (List.assoc "reclaimed" (C.stats t) > 0))
 
+(* ------------------------------------------------------------------ *)
+(* The mutant table: one row per seeded bug and per control *)
+
+let names rows = List.map (fun (r : Mutation.row) -> r.name) rows
+
+let test_mutant_table () =
+  let count kind =
+    List.length
+      (List.filter (fun (r : Mutation.row) -> r.kind = kind) Mutation.table)
+  in
+  checki "mutants" 17 (count Mutation.Mutant);
+  checki "controls" 16 (count Mutation.Control);
+  let all = names Mutation.table in
+  checki "row names are unique" (List.length all)
+    (List.length (List.sort_uniq compare all));
+  List.iter
+    (fun (r : Mutation.row) ->
+      match (r.kind, r.bug) with
+      | Mutation.Mutant, Some b ->
+          checkb (r.name ^ ": registered bug.* point") true
+            (String.starts_with ~prefix:"bug." b && Fault.find b <> None)
+      | Mutation.Mutant, None -> ()
+      | Mutation.Control, b ->
+          checkb (r.name ^ ": a control arms no bug") true (b = None))
+    Mutation.table;
+  (* Every seeded bug in the code has exactly one mutant hunting it. *)
+  List.iter
+    (fun p ->
+      let n = Fault.name p in
+      if String.starts_with ~prefix:"bug." n then
+        checki (n ^ " hunted once") 1
+          (List.length
+             (List.filter
+                (fun (r : Mutation.row) -> r.bug = Some n)
+                Mutation.table)))
+    (Fault.points ())
+
+let test_mutant_select () =
+  let suites rows =
+    List.sort_uniq compare (List.map (fun (r : Mutation.row) -> r.suite) rows)
+  in
+  let in_table_order rows =
+    let rec sub xs ys =
+      match (xs, ys) with
+      | [], _ -> true
+      | _, [] -> false
+      | x :: xs', y :: ys' -> if x == y then sub xs' ys' else sub xs ys'
+    in
+    sub rows Mutation.table
+  in
+  let none = Mutation.select [] in
+  checkb "no flag: the sanitizer suite alone" true
+    (suites none = [ Mutation.Sanitizer ]);
+  checki "no flag: 4 mutants + 4 controls" 8 (List.length none);
+  let union = Mutation.select [ Mutation.Lockdep; Mutation.Chaos ] in
+  checkb "two flags: the union" true
+    (suites union = [ Mutation.Lockdep; Mutation.Chaos ]);
+  checki "two flags: 6 + 6 rows" 12 (List.length union);
+  checkb "selection keeps table order" true (in_table_order union);
+  checkb "flag order is irrelevant" true
+    (names union
+    = names (Mutation.select [ Mutation.Chaos; Mutation.Lockdep ]));
+  let model = Mutation.select ~controls:false [ Mutation.Model ] in
+  checki "skip controls: 7 model mutants" 7 (List.length model);
+  checkb "skip controls: mutants only" true
+    (List.for_all (fun (r : Mutation.row) -> r.kind = Mutation.Mutant) model);
+  checki "every suite: the whole table" (List.length Mutation.table)
+    (List.length
+       (Mutation.select
+          Mutation.[ Sanitizer; Lockdep; Chaos; Model ]))
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* The docs cannot drift from the code: ROBUSTNESS.md names every row of
+   the mutant table and every registered fault point. *)
+let test_docs_name_everything () =
+  let doc = In_channel.with_open_bin "../ROBUSTNESS.md" In_channel.input_all in
+  let documented n = contains_sub doc ("`" ^ n ^ "`") in
+  List.iter
+    (fun n -> checkb (n ^ " in ROBUSTNESS.md") true (documented n))
+    (names Mutation.table);
+  List.iter
+    (fun p ->
+      let n = Fault.name p in
+      if not (String.starts_with ~prefix:"test." n) then
+        checkb (n ^ " in ROBUSTNESS.md") true (documented n))
+    (Fault.points ())
+
 let () =
   Alcotest.run "fault"
     [
@@ -341,6 +460,13 @@ let () =
         [
           Alcotest.test_case "warn stall end-to-end" `Quick test_torture_warn;
           Alcotest.test_case "fail stall end-to-end" `Quick test_torture_fail;
+        ] );
+      ( "mutant-table",
+        [
+          Alcotest.test_case "17 mutants, 16 controls" `Quick test_mutant_table;
+          Alcotest.test_case "suite selection" `Quick test_mutant_select;
+          Alcotest.test_case "ROBUSTNESS.md names every row and point" `Quick
+            test_docs_name_everything;
         ] );
       ( "citrus-under-faults",
         [

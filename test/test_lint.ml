@@ -20,6 +20,7 @@ let expected =
     ("use of Random", "lint_fixtures/lib/server/bad_random.ml");
     ("wall clock", "lint_fixtures/lib/workload/bad_clock_seed.ml");
     ("outside the reclaimer", "lint_fixtures/bad_retire.ml");
+    ("seeded-bug switch", "lint_fixtures/bad_bug_switch.ml");
   ]
 
 let contains_sub s sub =
@@ -88,7 +89,21 @@ let test_no_cross_fire () =
         (good ^ " stays clean")
         false
         (List.exists (fun l -> contains_sub l good) (diagnostics lines)))
-    [ "good.ml"; "good_seed.ml"; "lib/rcu/reclaimer.ml" ]
+    [ "good.ml"; "good_seed.ml"; "good_bug_point.ml"; "lib/rcu/reclaimer.ml" ]
+
+let test_bug_switch_shapes () =
+  (* Rule 8 names both shapes a seeded-bug switch takes: the module and
+     the constructor knob. *)
+  let lines, _ = run_lint () in
+  List.iter
+    (fun shape ->
+      Alcotest.(check bool)
+        (shape ^ " reported") true
+        (List.exists
+           (fun l ->
+             contains_sub l "bad_bug_switch.ml" && contains_sub l shape)
+           (diagnostics lines)))
+    [ "module named Buggy"; "parameter ?mutate_skip" ]
 
 let test_real_tree_clean () =
   (* The passes hold on the actual library source: `lint lib` from the
@@ -120,6 +135,8 @@ let () =
           Alcotest.test_case "each pass fires on its fixture" `Quick
             test_each_pass_fires;
           Alcotest.test_case "no pass cross-fires" `Quick test_no_cross_fire;
+          Alcotest.test_case "seeded-bug switch shapes" `Quick
+            test_bug_switch_shapes;
           Alcotest.test_case "real lib/ tree is clean" `Quick
             test_real_tree_clean;
         ] );

@@ -11,7 +11,7 @@ module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Torture = Repro_rcu.Torture
 module Epoch = Repro_rcu.Epoch_rcu
-module Mutation = Repro_citrus.Mutation
+module Mutation = Repro_mutants.Mutation
 module Tree = Repro_citrus.Citrus_int.Epoch
 module San = Repro_sanitizer.Sanitizer
 
@@ -223,15 +223,25 @@ let test_torture_lockdep_clean () =
 
 (* --- mutation proof --- *)
 
+let run_suite kind =
+  List.filter_map
+    (fun (row : Mutation.row) ->
+      if row.kind = kind then
+        Some (Mutation.run { seed = 42; attempts = 1 } row)
+      else None)
+    (Mutation.select [ Mutation.Lockdep ])
+
 let test_lockdep_mutants_caught () =
   List.iter
-    (fun r -> checkb (r.Mutation.mutant ^ " caught") true r.Mutation.caught)
-    (Mutation.lockdep_all ())
+    (fun (r : Mutation.result) -> checkb (r.row.name ^ " caught") true r.ok)
+    (run_suite Mutation.Mutant)
 
 let test_lockdep_controls_silent () =
   List.iter
-    (fun r -> checki (r.Mutation.mutant ^ " silent") 0 r.Mutation.violations)
-    (Mutation.lockdep_controls ())
+    (fun (r : Mutation.result) ->
+      checki (r.row.name ^ " silent") 0 r.outcome.detections;
+      checki (r.row.name ^ " no bug point hit") 0 r.fired)
+    (run_suite Mutation.Control)
 
 (* --- observability surfacing --- *)
 

@@ -6,7 +6,7 @@
 module San = Repro_sanitizer.Sanitizer
 module Fault = Repro_fault.Fault
 module Torture = Repro_rcu.Torture
-module Mutation = Repro_citrus.Mutation
+module Mutation = Repro_mutants.Mutation
 module Stall = Repro_rcu.Stall
 
 let checki = Alcotest.(check int)
@@ -238,23 +238,31 @@ module Qsbr_tests = FlavourTests (Repro_rcu.Qsbr)
 (* Mutation suite: every seeded grace-period bug must be caught, the
    clean controls must stay silent. *)
 
+let run_suite kind =
+  List.filter_map
+    (fun (row : Mutation.row) ->
+      if row.kind = kind then
+        Some (Mutation.run { seed = 11; attempts = 12 } row)
+      else None)
+    (Mutation.select [ Mutation.Sanitizer ])
+
 let test_mutants_caught () =
-  let results = Mutation.all ~seed:11 ~attempts:12 () in
+  let results = run_suite Mutation.Mutant in
   List.iter
-    (fun r ->
-      checkb (r.Mutation.mutant ^ " caught") true r.Mutation.caught;
-      checkb
-        (r.Mutation.mutant ^ " produced violations")
-        true
-        (r.Mutation.violations > 0))
+    (fun (r : Mutation.result) ->
+      checkb (r.row.name ^ " caught") true r.ok;
+      checkb (r.row.name ^ " produced violations") true
+        (r.outcome.detections > 0))
     results;
   checki "four mutants" 4 (List.length results);
   San.reset_violations ()
 
 let test_controls_clean () =
-  let results = Mutation.controls ~seed:11 () in
+  let results = run_suite Mutation.Control in
   List.iter
-    (fun r -> checki (r.Mutation.mutant ^ " silent") 0 r.Mutation.violations)
+    (fun (r : Mutation.result) ->
+      checki (r.row.name ^ " silent") 0 r.outcome.detections;
+      checki (r.row.name ^ " no bug point hit") 0 r.fired)
     results;
   San.reset_violations ()
 

@@ -15,6 +15,7 @@ module Supervisor = Repro_server.Supervisor
 module Health = Repro_server.Health
 module Breaker = Repro_server.Breaker
 module Chaos = Repro_server.Chaos
+module Mutation = Repro_mutants.Mutation
 module Serve = Repro_server.Serve
 module Open_loop = Repro_workload.Open_loop
 module W = Repro_workload.Workload
@@ -513,7 +514,8 @@ let test_breaker_jitter_deterministic () =
     (trip_interval 1L <> trip_interval 2L)
 
 let test_breaker_never_open_mutant () =
-  let b = Breaker.create ~config:breaker_cfg ~mutate_never_open:true ~shard:0 () in
+  Mutation.arm [ "bug.breaker.never_open" ] @@ fun () ->
+  let b = Breaker.create ~config:breaker_cfg ~shard:0 () in
   Breaker.on_crash b ~now_ns:0;
   for _ = 1 to 10 do
     Breaker.on_failure b ~now_ns:0 ~probe:false
@@ -958,12 +960,17 @@ let test_open_loop_expired_accounting () =
 (* --- chaos: the seeded backlog-loss mutation --- *)
 
 let test_chaos_mutation_caught () =
-  let m = Chaos.mutation ~mutate:true (module Dict.Citrus_epoch) in
+  let m =
+    Mutation.arm [ "bug.router.forget_backlog" ] (fun () ->
+        Chaos.mutation (module Dict.Citrus_epoch))
+  in
   checkb "mutant caught" true m.Chaos.caught;
   checkb "the forgotten batch is visible as loss" true (m.Chaos.lost > 0)
 
 let test_chaos_control_silent () =
-  let m = Chaos.mutation ~mutate:false (module Dict.Citrus_epoch) in
+  let m =
+    Mutation.arm [] (fun () -> Chaos.mutation (module Dict.Citrus_epoch))
+  in
   checkb "control silent" false m.Chaos.caught;
   checki "nothing lost" 0 m.Chaos.lost;
   checki "every write applied" m.Chaos.expected m.Chaos.final_size
@@ -971,26 +978,38 @@ let test_chaos_control_silent () =
 (* --- chaos: the seeded breaker and deadline mutations --- *)
 
 let test_chaos_breaker_mutation_caught () =
-  let m = Chaos.mutation_breaker ~mutate:true (module Dict.Citrus_epoch) in
+  let m =
+    Mutation.arm [ "bug.breaker.never_open" ] (fun () ->
+        Chaos.mutation_breaker (module Dict.Citrus_epoch))
+  in
   checkb "crash fired" true m.Chaos.crash_seen;
   checkb "mutant never tripped" false m.Chaos.tripped;
   checkb "mutant admitted the post-crash write" false m.Chaos.rejected;
   checkb "mutant caught" true m.Chaos.caught
 
 let test_chaos_breaker_control_silent () =
-  let m = Chaos.mutation_breaker ~mutate:false (module Dict.Citrus_epoch) in
+  let m =
+    Mutation.arm [] (fun () ->
+        Chaos.mutation_breaker (module Dict.Citrus_epoch))
+  in
   checkb "crash fired" true m.Chaos.crash_seen;
   checkb "control tripped at crash" true m.Chaos.tripped;
   checkb "control rejected the post-crash write" true m.Chaos.rejected;
   checkb "control silent" false m.Chaos.caught
 
 let test_chaos_deadline_mutation_caught () =
-  let m = Chaos.mutation_deadline ~mutate:true (module Dict.Citrus_epoch) in
+  let m =
+    Mutation.arm [ "bug.router.skip_deadline" ] (fun () ->
+        Chaos.mutation_deadline (module Dict.Citrus_epoch))
+  in
   checkb "mutant caught" true m.Chaos.caught;
   checki "every expired write applied anyway" m.Chaos.queued m.Chaos.applied
 
 let test_chaos_deadline_control_silent () =
-  let m = Chaos.mutation_deadline ~mutate:false (module Dict.Citrus_epoch) in
+  let m =
+    Mutation.arm [] (fun () ->
+        Chaos.mutation_deadline (module Dict.Citrus_epoch))
+  in
   checkb "control silent" false m.Chaos.caught;
   checki "no expired write applied" 0 m.Chaos.applied
 
