@@ -24,10 +24,9 @@ module Json_report = Repro_workload.Json_report
 module Json = Repro_obs.Json
 module Dict = Repro_dict.Dict
 
-(* JSON collection: when --json FILE is given, sweeps run observed
-   (sampled latency + serialization metrics) and every data point is
-   accumulated here, then written as one schema-versioned report. *)
-let json_requested = ref false
+(* JSON collection: every sweep data point (with its sampled latency and
+   serialization metrics) is accumulated here; with --json FILE they are
+   written as one schema-versioned report. *)
 let collected : Json_report.experiment list ref = ref []
 
 let collect name points =
@@ -64,7 +63,6 @@ let paper_scale =
 
 let sweep ?(out = Format.std_formatter) scale ~title ~csv ~role ~key_range
     dicts =
-  let observe = !json_requested in
   let jpoints = ref [] in
   let series =
     List.map
@@ -75,11 +73,8 @@ let sweep ?(out = Format.std_formatter) scale ~title ~csv ~role ~key_range
               let cfg =
                 W.config ~key_range ~role ~threads ~duration:scale.duration ()
               in
-              let r =
-                Runner.run_avg ~repeats:scale.repeats ~observe (module D) cfg
-              in
-              if observe then
-                jpoints := { Json_report.cfg; result = r } :: !jpoints;
+              let r = Runner.run_avg ~repeats:scale.repeats (module D) cfg in
+              jpoints := { Json_report.cfg; result = r } :: !jpoints;
               (threads, r.Runner.throughput))
             scale.threads
         in
@@ -230,9 +225,10 @@ let micro () =
 
 let latency scale =
   Format.printf
-    "@.Operation latency percentiles (ns), %d threads, 50%% contains, key@.\
-     range %d. Watch the delete p99: Citrus deletes of two-child nodes@.\
-     pay a full grace period; structures without grace periods do not.@."
+    "@.Operation latency percentiles (ns, sampled 1 in 16), %d threads, 50%%@.\
+     contains, key range %d. Watch the delete p99: Citrus deletes of@.\
+     two-child nodes pay a full grace period; structures without grace@.\
+     periods do not.@."
     (List.fold_left max 1 scale.threads)
     scale.small_range;
   let threads = List.fold_left max 1 scale.threads in
@@ -244,20 +240,15 @@ let latency scale =
         W.config ~key_range:scale.small_range ~threads
           ~duration:scale.duration ~role:(W.Uniform W.contains_50) ()
       in
-      let per_op = Repro_workload.Latency.measure (module D) cfg in
+      let r = Runner.run (module D) cfg in
       List.iter
-        (fun (op, s) ->
-          let op_name =
-            match op with
-            | W.Contains -> "contains"
-            | W.Insert -> "insert"
-            | W.Delete -> "delete"
-          in
+        (fun (op, h) ->
+          let s = Repro_workload.Latency.summarize h in
           Format.printf "%-12s %-9s %10.0f %10.0f %10.0f %10.0f %10.0f@."
-            D.name op_name s.Repro_workload.Latency.mean_ns
+            D.name (Json_report.op_name op) s.Repro_workload.Latency.mean_ns
             s.Repro_workload.Latency.p50 s.Repro_workload.Latency.p99
             s.Repro_workload.Latency.p999 s.Repro_workload.Latency.max_ns)
-        per_op)
+        r.Runner.latency)
     Dict.all
 
 (* --- Throughput over time --- *)
@@ -301,7 +292,6 @@ let skew scale =
     (List.fold_left max 1 scale.threads)
     scale.small_range;
   let threads = List.fold_left max 1 scale.threads in
-  let observe = !json_requested in
   let jpoints = ref [] in
   let dists =
     [
@@ -323,11 +313,8 @@ let skew scale =
             W.config ~key_range:scale.small_range ~key_dist:dist ~threads
               ~duration:scale.duration ()
           in
-          let r =
-            Runner.run_avg ~repeats:scale.repeats ~observe (module D) cfg
-          in
-          if observe then
-            jpoints := { Json_report.cfg; result = r } :: !jpoints;
+          let r = Runner.run_avg ~repeats:scale.repeats (module D) cfg in
+          jpoints := { Json_report.cfg; result = r } :: !jpoints;
           Format.printf " %9s" (Report.si r.Runner.throughput))
         dists;
       Format.printf "@.")
@@ -729,7 +716,6 @@ let contention scale =
     (List.fold_left max 1 scale.threads)
     scale.small_range;
   let threads = List.fold_left max 1 scale.threads in
-  let observe = !json_requested in
   let jpoints = ref [] in
   Format.printf "%-14s" "updates%";
   List.iter (fun u -> Format.printf " %9d" u) [ 0; 2; 10; 20; 50; 100 ];
@@ -748,11 +734,8 @@ let contention scale =
             W.config ~key_range:scale.small_range ~role:(W.Uniform mix)
               ~threads ~duration:scale.duration ()
           in
-          let r =
-            Runner.run_avg ~repeats:scale.repeats ~observe (module D) cfg
-          in
-          if observe then
-            jpoints := { Json_report.cfg; result = r } :: !jpoints;
+          let r = Runner.run_avg ~repeats:scale.repeats (module D) cfg in
+          jpoints := { Json_report.cfg; result = r } :: !jpoints;
           Format.printf " %9s" (Report.si r.Runner.throughput))
         [ 0; 2; 10; 20; 50; 100 ];
       Format.printf "@.")
@@ -802,7 +785,7 @@ let serve_bench scale quick json =
           Serve.cfg ~shards ~clients:4 ~queue_depth:4096 ~drain_batch:64
             ~rate ~duration ~mix ~key_range ~write_mode:Serve.Async ()
         in
-        let r = Serve.run ~observe:true (module Dict.Citrus_urcu) c in
+        let r = Serve.run (module Dict.Citrus_urcu) c in
         let l = r.Serve.load in
         let pct op =
           match List.assoc_opt op l.Open_loop.latency with
@@ -901,8 +884,7 @@ let callrcu_fig9 ~duration ~reps ~threads_list =
               let runs =
                 List.init reps (fun i ->
                     callrcu_ab on (fun () ->
-                        Repro_sync.Metrics.reset ();
-                        Runner.run ~observe:true
+                        Runner.run
                           (module D)
                           { cfg with seed = Int64.of_int (97 + i) }))
               in
@@ -962,7 +944,7 @@ let callrcu_serve ~duration ~reps ~rate =
                     ~drain_batch:64 ~rate ~duration ~mix ~key_range
                     ~write_mode:Serve.Async ()
                 in
-                Serve.run ~observe:true (module Dict.Citrus_urcu) c))
+                Serve.run (module Dict.Citrus_urcu) c))
       in
       let summary r op =
         match List.assoc_opt op r.Serve.load.Open_loop.latency with
@@ -1150,11 +1132,10 @@ let json_term =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Write a schema-versioned JSON report to $(docv). Sweep points \
-           then run observed: sampled latency percentiles and \
+          "Write a schema-versioned JSON report to $(docv): every sweep \
+           point carries its sampled latency percentiles and \
            serialization metrics (grace periods, lock contention, \
-           restarts) accompany every throughput number. Schema in \
-           OBSERVABILITY.md.")
+           restarts) next to its throughput. Schema in OBSERVABILITY.md.")
 
 let scale_meta scale =
   [
@@ -1183,7 +1164,6 @@ let finish scale json =
           exit 1)
 
 let wrap f scale csv json =
-  json_requested := json <> None;
   f scale csv;
   finish scale json
 

@@ -138,30 +138,28 @@ let soak name trials =
     exit 1
   end
 
+let print_latency (r : Runner.result) =
+  List.iter
+    (fun (op, h) ->
+      Format.printf "  %-9s %a@."
+        (Repro_workload.Json_report.op_name op)
+        Repro_workload.Latency.pp_summary
+        (Repro_workload.Latency.summarize h))
+    r.latency
+
 let latency name threads duration keys contains_pct =
   let (module D) = resolve name in
   let mix = contains_mix contains_pct in
   let cfg =
     W.config ~key_range:keys ~threads ~duration ~role:(W.Uniform mix) ()
   in
-  Printf.printf "latency of %s: %d threads, %.1fs, keys [0,%d)\n%!" D.name
-    threads duration keys;
-  let per_op =
-    registry_guard threads (fun () ->
-        Repro_workload.Latency.measure (module D) cfg)
-  in
-  List.iter
-    (fun (op, s) ->
-      let op_name =
-        match op with
-        | W.Contains -> "contains"
-        | W.Insert -> "insert"
-        | W.Delete -> "delete"
-      in
-      Format.printf "  %-9s %a@." op_name Repro_workload.Latency.pp_summary s)
-    per_op
+  Printf.printf
+    "latency of %s (sampled 1 in 16): %d threads, %.1fs, keys [0,%d)\n%!"
+    D.name threads duration keys;
+  let r = registry_guard threads (fun () -> Runner.run (module D) cfg) in
+  print_latency r
 
-(* Live observability: run a short observed workload and dump the
+(* Live observability: run a short workload and dump the
    serialization metrics (and optionally the event trace) that explain its
    throughput. The JSON output uses the same schema as `bench --json`. *)
 let stats name threads duration keys contains_pct trace_events json_file =
@@ -178,7 +176,7 @@ let stats name threads duration keys contains_pct trace_events json_file =
     threads duration keys
     (Format.asprintf "%a" W.pp_mix mix);
   let r =
-    registry_guard threads (fun () -> Runner.run ~observe:true (module D) cfg)
+    registry_guard threads (fun () -> Runner.run (module D) cfg)
   in
   Repro_sync.Trace.stop ();
   Report.print_result r;
@@ -189,17 +187,7 @@ let stats name threads duration keys contains_pct trace_events json_file =
       else Format.printf "  %-24s %12.1f@." k v)
     r.Runner.metrics;
   Format.printf "@.per-operation latency (sampled 1 in 16):@.";
-  List.iter
-    (fun (op, h) ->
-      let op_name =
-        match op with
-        | W.Contains -> "contains"
-        | W.Insert -> "insert"
-        | W.Delete -> "delete"
-      in
-      Format.printf "  %-9s %a@." op_name Repro_workload.Latency.pp_summary
-        (Repro_workload.Latency.summarize h))
-    r.Runner.latency;
+  print_latency r;
   if trace_events > 0 then begin
     let events = Repro_sync.Trace.dump () in
     let n = List.length events in
@@ -285,7 +273,7 @@ let serve name shards clients queue_depth drain_batch rate duration keys
     try
       with_call_rcu call_rcu (fun () ->
           registry_guard clients (fun () ->
-              Serve.run ~observe:true (module D) c))
+              Serve.run (module D) c))
     with Invalid_argument msg ->
       Printf.eprintf "bad serve configuration: %s\n" msg;
       exit 2
@@ -798,7 +786,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Run a short observed workload and dump live serialization \
+         "Run a short workload and dump live serialization \
           metrics (grace periods, lock contention, restarts; see \
           OBSERVABILITY.md).")
     Term.(

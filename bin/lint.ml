@@ -40,6 +40,10 @@
       labelled or optional parameter named [mutate...] or
       [forget_backlog]. A seeded bug is a [bug.*] fault point at its
       site plus one row of the mutant table (lib/mutants).
+   9. No [Monotonic_clock.now] under lib/workload/ outside runner.ml
+      (the one closed-loop timed loop) and open_loop.ml (the open-loop
+      generator): a clock read anywhere else there is a second timed
+      workload loop growing back.
 
    Exits 1 with file:line diagnostics on any violation, silently 0
    otherwise. *)
@@ -134,6 +138,19 @@ let check_bug_param ~file ~line label =
       | Asttypes.Labelled l -> "~" ^ l
       | Asttypes.Optional l -> "?" ^ l
       | Asttypes.Nolabel -> "_")
+
+(* Rule 9: the only files under lib/workload/ that may read the clock. *)
+let clock_owners = [ "lib/workload/runner.ml"; "lib/workload/open_loop.ml" ]
+
+let check_clock ~file (lid : Longident.t Location.loc) =
+  match List.rev (Longident.flatten lid.txt) with
+  | "now" :: "Monotonic_clock" :: _
+    when contains_sub file "lib/workload/"
+         && not (List.exists (Filename.check_suffix file) clock_owners) ->
+      err ~file ~line:(line_of lid.loc)
+        "Monotonic_clock.now outside Runner and Open_loop: a second timed \
+         workload loop — time operations in Runner.run's sampled loop"
+  | _ -> ()
 
 (* --- parsetree rules --- *)
 
@@ -312,7 +329,8 @@ let check_file file =
                   check_bug_module ~file ~line:(line_of name.loc) name.txt
               | Pexp_ident lid ->
                   check_modules ~file ~all:false lid;
-                  check_retire ~file lid
+                  check_retire ~file lid;
+                  check_clock ~file lid
               | Pexp_new lid -> check_modules ~file ~all:false lid
               | Pexp_apply
                   ({ pexp_desc = Pexp_ident fn; pexp_loc; _ }, args) -> (

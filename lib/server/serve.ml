@@ -94,7 +94,7 @@ let reject_index = function
   | Shard_router.Failed -> 4
   | Shard_router.Shutdown -> 5
 
-let run ?(observe = false) (dict : (module Repro_dict.Dict.DICT)) (c : cfg) =
+let run (dict : (module Repro_dict.Dict.DICT)) (c : cfg) =
   let module D = (val dict) in
   let module S = Shard_router.Make (D) in
   let t =
@@ -112,7 +112,7 @@ let run ?(observe = false) (dict : (module Repro_dict.Dict.DICT)) (c : cfg) =
     if S.load h0 k k then incr filled
   done;
   S.unregister h0;
-  if observe then Metrics.reset ();
+  Metrics.reset ();
   S.start t;
   let spec =
     Open_loop.spec ~clients:c.clients ~rate:c.rate ~duration:c.duration
@@ -174,7 +174,7 @@ let run ?(observe = false) (dict : (module Repro_dict.Dict.DICT)) (c : cfg) =
   (* Window counters before shutdown: the backlog drained during
      [shutdown] belongs to [drained_total], not the measured interval. *)
   let drained = S.drained t in
-  let metrics = if observe then Metrics.snapshot () else [] in
+  let metrics = Metrics.snapshot () in
   let breakers = S.breaker_states t in
   let breaker_trips = S.breaker_trips t in
   let breaker_rejects = S.breaker_rejects t in

@@ -101,15 +101,16 @@ type result = {
   shutdown : Shard_router.shutdown_result;
   final_size : int;  (** total keys across shards after shutdown *)
   metrics : (string * float) list;
-      (** [Metrics.snapshot] of the measured window ([observe] only) *)
+      (** [Metrics.snapshot] of the measured window *)
 }
 
-val run : ?observe:bool -> (module Repro_dict.Dict.DICT) -> cfg -> result
+val run : (module Repro_dict.Dict.DICT) -> cfg -> result
 (** Build the router, prefill (queue-bypassing, before the updaters
     start), start the supervised updaters, run the open-loop load,
     snapshot counters, shut down under [cfg.shutdown_deadline_ns],
-    verify every shard's invariants ([D.check]). [observe] resets and
-    snapshots the global metrics around the measured window. Uses
+    verify every shard's invariants ([D.check]). The global metrics are
+    reset after the prefill and snapshotted before shutdown, so [metrics]
+    covers the measured window only. Uses
     [cfg.clients + 1] domains beyond the callers' plus one updater per
     shard (more transiently across crash restarts).
     @raise Repro_sync.Registry.Full if a client cannot register. *)

@@ -1,6 +1,6 @@
 (** Schema-versioned JSON benchmark reports.
 
-    Converts observed runner results into the [BENCH_*.json] trajectory
+    Converts runner results into the [BENCH_*.json] trajectory
     format documented in OBSERVABILITY.md: a report is a list of
     experiments, each a list of data points, each carrying the workload
     configuration, throughput, sampled latency percentiles, and the
@@ -12,8 +12,7 @@ val schema_version : int
 
 type point = {
   cfg : Workload.config;  (** the configuration the run used *)
-  result : Runner.result;  (** from {!Runner.run} or {!Runner.run_avg},
-                               normally with [~observe:true] *)
+  result : Runner.result;  (** from {!Runner.run} or {!Runner.run_avg} *)
 }
 
 type experiment = {

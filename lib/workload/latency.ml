@@ -1,6 +1,3 @@
-module Rng = Repro_sync.Rng
-module Barrier = Repro_sync.Barrier
-
 (* Log-linear bucketing: values < 16 are exact; above, 16 sub-buckets per
    power of two. Bucket count is bounded by 16 + 59*16 for 63-bit values. *)
 let n_buckets = 16 + (59 * 16)
@@ -8,12 +5,12 @@ let n_buckets = 16 + (59 * 16)
 type histogram = {
   buckets : int array;
   mutable total : int;
-  mutable sum : float;
+  mutable sum : int;  (* ns; an int so [record] never boxes a float *)
   mutable max_seen : int;
 }
 
 let histogram () =
-  { buckets = Array.make n_buckets 0; total = 0; sum = 0.0; max_seen = 0 }
+  { buckets = Array.make n_buckets 0; total = 0; sum = 0; max_seen = 0 }
 
 let log2 v =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
@@ -44,7 +41,7 @@ let record h ns =
   let b = bucket_of ns in
   h.buckets.(b) <- h.buckets.(b) + 1;
   h.total <- h.total + 1;
-  h.sum <- h.sum +. float_of_int ns;
+  h.sum <- h.sum + ns;
   if ns > h.max_seen then h.max_seen <- ns
 
 let merge hs =
@@ -53,13 +50,15 @@ let merge hs =
     (fun h ->
       Array.iteri (fun i c -> out.buckets.(i) <- out.buckets.(i) + c) h.buckets;
       out.total <- out.total + h.total;
-      out.sum <- out.sum +. h.sum;
+      out.sum <- out.sum + h.sum;
       if h.max_seen > out.max_seen then out.max_seen <- h.max_seen)
     hs;
   out
 
 let count h = h.total
 
+(* A bucket's midpoint can lie above every sample in it, so the result is
+   clamped to the largest sample: no percentile exceeds the max. *)
 let percentile h p =
   if h.total = 0 then 0.0
   else begin
@@ -70,7 +69,8 @@ let percentile h p =
       if i >= n_buckets then float_of_int h.max_seen
       else
         let seen = seen + h.buckets.(i) in
-        if seen >= target then value_of i else go (i + 1) seen
+        if seen >= target then Float.min (value_of i) (float_of_int h.max_seen)
+        else go (i + 1) seen
     in
     go 0 0
   end
@@ -88,7 +88,9 @@ type summary = {
 let summarize h =
   {
     count = h.total;
-    mean_ns = (if h.total = 0 then 0.0 else h.sum /. float_of_int h.total);
+    mean_ns =
+      (if h.total = 0 then 0.0
+       else float_of_int h.sum /. float_of_int h.total);
     p50 = percentile h 0.50;
     p90 = percentile h 0.90;
     p99 = percentile h 0.99;
@@ -100,71 +102,3 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d mean=%.0fns p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f max=%.0f" s.count
     s.mean_ns s.p50 s.p90 s.p99 s.p999 s.max_ns
-
-let measure (module D : Repro_dict.Dict.DICT) (cfg : Workload.config) =
-  let t = D.create ~max_threads:(cfg.threads + 2) () in
-  let master = Rng.create cfg.seed in
-  let setup = D.register t in
-  let target =
-    int_of_float (float_of_int cfg.key_range *. cfg.prefill_fraction)
-  in
-  let filled = ref 0 in
-  while !filled < target do
-    let k = Rng.int master cfg.key_range in
-    if D.insert setup k k then incr filled
-  done;
-  D.unregister setup;
-  let start = Barrier.create (cfg.threads + 1) in
-  let stop = Atomic.make false in
-  (* One histogram per thread per op type: no sharing on the hot path. *)
-  let histograms =
-    Array.init cfg.threads (fun _ -> (histogram (), histogram (), histogram ()))
-  in
-  let mix_for i =
-    match cfg.role with
-    | Workload.Uniform m -> m
-    | Workload.Single_writer m -> if i = 0 then m else Workload.read_only
-  in
-  let worker i mix seed =
-    let handle = D.register t in
-    let rng = Rng.create seed in
-    let next_key = Workload.key_generator cfg rng in
-    let hc, hi, hd = histograms.(i) in
-    Barrier.wait start;
-    while not (Atomic.get stop) do
-      let k = next_key () in
-      let op = Workload.pick rng mix in
-      let t0 = Monotonic_clock.now () in
-      (match op with
-      | Workload.Contains -> ignore (D.contains handle k)
-      | Workload.Insert -> ignore (D.insert handle k k)
-      | Workload.Delete -> ignore (D.delete handle k));
-      let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-      match op with
-      | Workload.Contains -> record hc dt
-      | Workload.Insert -> record hi dt
-      | Workload.Delete -> record hd dt
-    done;
-    D.unregister handle
-  in
-  let domains =
-    List.init cfg.threads (fun i ->
-        let seed = Rng.next64 master in
-        Domain.spawn (fun () -> worker i (mix_for i) seed))
-  in
-  Barrier.wait start;
-  Unix.sleepf cfg.duration;
-  Atomic.set stop true;
-  List.iter Domain.join domains;
-  D.shutdown t;
-  D.check t;
-  let all = Array.to_list histograms in
-  let pick3 f = merge (List.map f all) in
-  let per_op =
-    [
-      (Workload.Contains, summarize (pick3 (fun (c, _, _) -> c)));
-      (Workload.Insert, summarize (pick3 (fun (_, i, _) -> i)));
-      (Workload.Delete, summarize (pick3 (fun (_, _, d) -> d)));
-    ]
-  in
-  List.filter (fun (_, s) -> s.count > 0) per_op

@@ -26,14 +26,7 @@ type summary = {
 val summarize : histogram -> summary
 val percentile : histogram -> float -> float
 (** [percentile h 0.99] is the latency (ns) at or below which 99% of the
-    samples fall; 0 for an empty histogram. *)
+    samples fall, never above the largest sample; 0 for an empty
+    histogram. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-
-val measure :
-  (module Repro_dict.Dict.DICT) ->
-  Workload.config ->
-  (Workload.op * summary) list
-(** Run the workload (as {!Runner.run} does) but time every operation with
-    the monotonic clock, returning one summary per operation type that
-    actually occurred. *)

@@ -23,14 +23,16 @@ type thread_counts = {
   mutable n_delete : int;
 }
 
-(* Observed runs time 1 op in 2^latency_sample_shift: enough samples for
+(* Every run times 1 op in 2^latency_sample_shift: enough samples for
    p99.9 on any run longer than ~0.1s, cheap enough (two clock reads per
-   sampled op) to keep instrumentation overhead well under the 10% budget. *)
+   sampled op) to stay inside the run-to-run spread of throughput. The
+   64-op batch is a multiple of the sampling period, so each worker times
+   its ops 0, 16, 32, ... *)
 let latency_sample_shift = 4
 let latency_sample_mask = (1 lsl latency_sample_shift) - 1
 
-let run ?sample_interval ?(observe = false)
-    (module D : Repro_dict.Dict.DICT) (cfg : Workload.config) =
+let run ?sample_interval (module D : Repro_dict.Dict.DICT)
+    (cfg : Workload.config) =
   let t = D.create ~max_threads:(cfg.threads + 2) () in
   let master = Rng.create cfg.seed in
   (* Pre-fill to [prefill_fraction] of the key range (paper: half). *)
@@ -44,8 +46,6 @@ let run ?sample_interval ?(observe = false)
     if D.insert setup k k then incr filled
   done;
   D.unregister setup;
-  (* Each worker hammers the dictionary until [stop]; operations run in
-     batches of 64 so the stop flag is polled cheaply. *)
   (* Aggregate progress, bumped once per 64-op batch so the sampler never
      contends with the hot path. *)
   let progress = Atomic.make 0 in
@@ -55,26 +55,18 @@ let run ?sample_interval ?(observe = false)
      thread re-raises [Registry.Full] after the join so CLI frontends can
      report it cleanly. *)
   let registry_full = Atomic.make false in
-  let try_register start =
+  (* Each worker hammers the dictionary until [stop]; operations run in
+     batches of 64 so the stop flag is polled cheaply. *)
+  let worker mix seed start stop counts (hc, hi, hd) =
     match D.register t with
-    | handle -> Some handle
     | exception Repro_sync.Registry.Full ->
         Atomic.set registry_full true;
-        Barrier.wait start;
-        None
-  in
-  let worker mix seed start stop counts =
-    match try_register start with
-    | None -> ()
-    | Some handle ->
-    let rng = Rng.create seed in
-    let next_key = Workload.key_generator cfg rng in
-    Barrier.wait start;
-    let rec loop () =
-      if not (Atomic.get stop) then begin
-        for _ = 1 to 64 do
-          let k = next_key () in
-          match Workload.pick rng mix with
+        Barrier.wait start
+    | handle ->
+        let rng = Rng.create seed in
+        let next_key = Workload.key_generator cfg rng in
+        let apply op k =
+          match op with
           | Workload.Contains ->
               ignore (D.contains handle k);
               counts.n_contains <- counts.n_contains + 1
@@ -84,60 +76,28 @@ let run ?sample_interval ?(observe = false)
           | Workload.Delete ->
               ignore (D.delete handle k);
               counts.n_delete <- counts.n_delete + 1
+        in
+        Barrier.wait start;
+        while not (Atomic.get stop) do
+          for i = 0 to 63 do
+            let k = next_key () in
+            let op = Workload.pick rng mix in
+            if i land latency_sample_mask = 0 then begin
+              let t0 = Monotonic_clock.now () in
+              apply op k;
+              let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
+              Latency.record
+                (match op with
+                | Workload.Contains -> hc
+                | Workload.Insert -> hi
+                | Workload.Delete -> hd)
+                dt
+            end
+            else apply op k
+          done;
+          ignore (Atomic.fetch_and_add progress 64)
         done;
-        ignore (Atomic.fetch_and_add progress 64);
-        loop ()
-      end
-    in
-    loop ();
-    D.unregister handle
-  in
-  (* The observed variant of the same loop; kept separate so unobserved
-     runs execute exactly the pre-instrumentation hot path. *)
-  let worker_observed mix seed start stop counts (hc, hi, hd) =
-    match try_register start with
-    | None -> ()
-    | Some handle ->
-    let rng = Rng.create seed in
-    let next_key = Workload.key_generator cfg rng in
-    Barrier.wait start;
-    let ops = ref 0 in
-    let rec loop () =
-      if not (Atomic.get stop) then begin
-        for _ = 1 to 64 do
-          let k = next_key () in
-          let op = Workload.pick rng mix in
-          let sampled = !ops land latency_sample_mask = 0 in
-          incr ops;
-          if sampled then begin
-            let t0 = Monotonic_clock.now () in
-            (match op with
-            | Workload.Contains -> ignore (D.contains handle k)
-            | Workload.Insert -> ignore (D.insert handle k k)
-            | Workload.Delete -> ignore (D.delete handle k));
-            let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-            match op with
-            | Workload.Contains -> Latency.record hc dt
-            | Workload.Insert -> Latency.record hi dt
-            | Workload.Delete -> Latency.record hd dt
-          end
-          else begin
-            match op with
-            | Workload.Contains -> ignore (D.contains handle k)
-            | Workload.Insert -> ignore (D.insert handle k k)
-            | Workload.Delete -> ignore (D.delete handle k)
-          end;
-          (match op with
-          | Workload.Contains -> counts.n_contains <- counts.n_contains + 1
-          | Workload.Insert -> counts.n_insert <- counts.n_insert + 1
-          | Workload.Delete -> counts.n_delete <- counts.n_delete + 1)
-        done;
-        ignore (Atomic.fetch_and_add progress 64);
-        loop ()
-      end
-    in
-    loop ();
-    D.unregister handle
+        D.unregister handle
   in
   let start = Barrier.create (cfg.threads + 1) in
   let stop = Atomic.make false in
@@ -157,15 +117,12 @@ let run ?sample_interval ?(observe = false)
   (* The global metrics reflect this run only: zero them after the prefill,
      just before the workers start. Runs are sequential per process, so no
      other workload writes into the registry meanwhile. *)
-  if observe then Metrics.reset ();
+  Metrics.reset ();
   let domains =
     List.init cfg.threads (fun i ->
         let seed = Rng.next64 master in
         Domain.spawn (fun () ->
-            if observe then
-              worker_observed (mix_for i) seed start stop counts.(i)
-                histograms.(i)
-            else worker (mix_for i) seed start stop counts.(i)))
+            worker (mix_for i) seed start stop counts.(i) histograms.(i)))
   in
   Barrier.wait start;
   if Atomic.get registry_full then begin
@@ -200,7 +157,7 @@ let run ?sample_interval ?(observe = false)
   let wall = Unix.gettimeofday () -. t0 in
   (* Snapshot before the invariant check so checker traversals do not
      pollute the run's metrics. *)
-  let metrics = if observe then Metrics.snapshot () else [] in
+  let metrics = Metrics.snapshot () in
   (* Quiesce background reclamation (call_rcu tables) before checking:
      mid-flight asynchronous deletes legitimately leave locked copies. *)
   D.shutdown t;
@@ -211,17 +168,14 @@ let run ?sample_interval ?(observe = false)
   let delete_ops = sum (fun c -> c.n_delete) in
   let total_ops = contains_ops + insert_ops + delete_ops in
   let latency =
-    if not observe then []
-    else begin
-      let all = Array.to_list histograms in
-      let pick3 f = Latency.merge (List.map f all) in
-      [
-        (Workload.Contains, pick3 (fun (c, _, _) -> c));
-        (Workload.Insert, pick3 (fun (_, i, _) -> i));
-        (Workload.Delete, pick3 (fun (_, _, d) -> d));
-      ]
-      |> List.filter (fun (_, h) -> Latency.count h > 0)
-    end
+    let all = Array.to_list histograms in
+    let pick3 f = Latency.merge (List.map f all) in
+    [
+      (Workload.Contains, pick3 (fun (c, _, _) -> c));
+      (Workload.Insert, pick3 (fun (_, i, _) -> i));
+      (Workload.Delete, pick3 (fun (_, _, d) -> d));
+    ]
+    |> List.filter (fun (_, h) -> Latency.count h > 0)
   in
   {
     name = D.name;
@@ -238,14 +192,12 @@ let run ?sample_interval ?(observe = false)
     metrics;
   }
 
-let run_avg ?(repeats = 1) ?observe (module D : Repro_dict.Dict.DICT)
+let run_avg ?(repeats = 1) (module D : Repro_dict.Dict.DICT)
     (cfg : Workload.config) =
   if repeats <= 0 then invalid_arg "Runner.run_avg: repeats must be positive";
   let runs =
     List.init repeats (fun i ->
-        run ?observe
-          (module D)
-          { cfg with seed = Int64.add cfg.seed (Int64.of_int i) })
+        run (module D) { cfg with seed = Int64.add cfg.seed (Int64.of_int i) })
   in
   let favg f =
     List.fold_left (fun acc r -> acc +. f r) 0.0 runs

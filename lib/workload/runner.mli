@@ -4,11 +4,11 @@
     randomly chosen keys, report overall throughput; repeat and take the
     arithmetic average.
 
-    With [~observe:true] a run additionally captures the serialization
-    metrics that explain its throughput: per-operation latency histograms
-    (1 op in 16 timed) and a {!Repro_sync.Metrics} snapshot covering the
-    measured interval — grace periods paid and their durations, lock
-    contention, traversal restarts. See OBSERVABILITY.md. *)
+    Every run also captures what explains its throughput: per-operation
+    latency histograms (1 op in 16 timed) and a {!Repro_sync.Metrics}
+    snapshot covering the measured interval — grace periods paid and
+    their durations, lock contention, traversal restarts. See
+    OBSERVABILITY.md. *)
 
 type result = {
   name : string;  (** dictionary name *)
@@ -25,16 +25,15 @@ type result = {
           [sample_interval] was given — stalls (e.g. long grace periods)
           appear as dips *)
   latency : (Workload.op * Latency.histogram) list;
-      (** sampled per-operation latency; empty unless [observe] was set,
-          and omits operation types that never ran *)
+      (** sampled per-operation latency (1 op in 16 timed); omits
+          operation types that never ran *)
   metrics : (string * float) list;
       (** global serialization-metrics snapshot for the measured interval
-          (catalogue in OBSERVABILITY.md); empty unless [observe] was set *)
+          (catalogue in OBSERVABILITY.md) *)
 }
 
 val run :
   ?sample_interval:float ->
-  ?observe:bool ->
   (module Repro_dict.Dict.DICT) ->
   Workload.config ->
   result
@@ -46,14 +45,12 @@ val run :
       CLI to report the error.
     With [sample_interval] the aggregate
     progress counter is sampled on that period and reported in [samples].
-    With [observe] (default false) the run resets the global
-    {!Repro_sync.Metrics} after the prefill, samples operation latency,
-    and reports both in the result — at a measured overhead within the
-    10% documented in OBSERVABILITY.md. *)
+    The run resets the global {!Repro_sync.Metrics} after the prefill and
+    snapshots them after the workers join, so [metrics] covers the
+    measured interval only. *)
 
 val run_avg :
   ?repeats:int ->
-  ?observe:bool ->
   (module Repro_dict.Dict.DICT) ->
   Workload.config ->
   result

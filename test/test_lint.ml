@@ -21,6 +21,7 @@ let expected =
     ("wall clock", "lint_fixtures/lib/workload/bad_clock_seed.ml");
     ("outside the reclaimer", "lint_fixtures/bad_retire.ml");
     ("seeded-bug switch", "lint_fixtures/bad_bug_switch.ml");
+    ("second timed", "lint_fixtures/lib/workload/bad_timed_loop.ml");
   ]
 
 let contains_sub s sub =

@@ -212,14 +212,14 @@ let test_json_nonfinite_floats_stay_valid () =
   | Json.Obj [ ("bad", Json.Null); ("inf", Json.Null) ] -> ()
   | _ -> Alcotest.fail "non-finite floats must serialize as null"
 
-(* --- report round-trip through a real observed run --- *)
+(* --- report round-trip through a real run --- *)
 
 let test_report_roundtrip () =
   let cfg =
     W.config ~key_range:512 ~threads:2 ~duration:0.05
       ~role:(W.Uniform W.contains_50) ()
   in
-  let r = Runner.run ~observe:true (module Repro_dict.Dict.Citrus_epoch) cfg in
+  let r = Runner.run (module Repro_dict.Dict.Citrus_epoch) cfg in
   checkb "metrics captured" true (r.Runner.metrics <> []);
   checkb "latency captured" true (r.Runner.latency <> []);
   let doc =

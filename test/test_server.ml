@@ -1042,7 +1042,7 @@ let test_serve_end_to_end () =
     Serve.cfg ~shards:3 ~clients:2 ~rate:3000.0 ~duration:0.25
       ~key_range:512 ~write_mode:Serve.Wait ()
   in
-  let r = Serve.run ~observe:true (module Dict.Citrus_epoch) c in
+  let r = Serve.run (module Dict.Citrus_epoch) c in
   checkb "completed ops" true (r.Serve.load.Open_loop.completed > 0);
   checki "queues per shard" 3 (Array.length r.Serve.queues);
   checkb "writes drained" true (r.Serve.drained_total > 0);

@@ -146,6 +146,36 @@ let test_run_sampled_timeline () =
   in
   checkb "timestamps ordered" true (increasing r.samples)
 
+(* A plain run samples latency for every op type and captures metrics.
+   Each worker times its ops 0, 16, 32, ... and runs whole 64-op batches,
+   so the sampled total is exactly bounded by the op count. *)
+let test_run_sampled_latency_and_metrics () =
+  let threads = 2 in
+  let cfg =
+    W.config ~key_range:128 ~threads ~duration:0.15 ~seed:13L
+      ~role:(W.Uniform W.contains_50) ()
+  in
+  let r = Runner.run (module Repro_dict.Dict.Citrus_epoch) cfg in
+  checki "three op types sampled" 3 (List.length r.latency);
+  checkb "metrics captured" true (r.metrics <> []);
+  List.iter
+    (fun (_, h) ->
+      let s = Repro_workload.Latency.summarize h in
+      checkb "positive samples" true (s.count > 0);
+      checkb "ordered percentiles" true
+        (s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999
+       && s.p999 <= s.max_ns))
+    r.latency;
+  let sampled =
+    List.fold_left
+      (fun acc (_, h) -> acc + Repro_workload.Latency.count h)
+      0 r.latency
+  in
+  let expected = r.total_ops / 16 in
+  if sampled < expected || sampled > expected + threads then
+    Alcotest.failf "sampled %d ops of %d, expected %d..%d" sampled
+      r.total_ops expected (expected + threads)
+
 let test_run_avg () =
   let cfg =
     W.config ~key_range:128 ~threads:2 ~duration:0.1 ~seed:3L
@@ -251,6 +281,26 @@ let test_latency_empty () =
   checki "count" 0 s.Latency.count;
   checkb "percentile zero" true (s.Latency.p99 = 0.0)
 
+(* A bucket's midpoint lies above a lone sample; percentiles clamp to it. *)
+let test_latency_single_sample () =
+  let h = Latency.histogram () in
+  Latency.record h 1000;
+  let s = Latency.summarize h in
+  checkb "max exact" true (s.max_ns = 1000.0);
+  checkb "p50 clamped to max" true (s.p50 = 1000.0);
+  checkb "p99.9 clamped to max" true (s.p999 = 1000.0)
+
+(* [Gc.minor_words] returns an unboxed float, so the measurement itself
+   allocates nothing. *)
+let test_latency_record_allocates_nothing () =
+  let h = Latency.histogram () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    Latency.record h i
+  done;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 w
+
 let test_latency_negative_clamped () =
   let h = Latency.histogram () in
   Latency.record h (-5);
@@ -273,7 +323,8 @@ let prop_latency_percentiles_monotone =
         | a :: (b :: _ as rest) -> a <= b && mono rest
         | [ _ ] | [] -> true
       in
-      mono vals)
+      let s = Latency.summarize h in
+      mono vals && s.p999 <= s.max_ns)
 
 let prop_latency_bounded_error =
   QCheck.Test.make ~name:"p50 within bucket error of exact median" ~count:200
@@ -305,22 +356,6 @@ let prop_latency_merge_is_concat =
       && (Latency.summarize m).Latency.max_ns
          = (Latency.summarize c).Latency.max_ns)
 
-let test_latency_measure_end_to_end () =
-  let cfg =
-    W.config ~key_range:128 ~threads:2 ~duration:0.15 ~seed:13L
-      ~role:(W.Uniform W.contains_50) ()
-  in
-  let per_op = Latency.measure (module Repro_dict.Dict.Citrus_epoch) cfg in
-  checkb "three op types measured" true (List.length per_op = 3);
-  List.iter
-    (fun (_, s) ->
-      checkb "positive samples" true (s.Latency.count > 0);
-      checkb "ordered percentiles" true
-        (s.Latency.p50 <= s.Latency.p90
-        && s.Latency.p90 <= s.Latency.p99
-        && s.Latency.p99 <= s.Latency.p999))
-    per_op
-
 let () =
   Alcotest.run "workload"
     [
@@ -344,6 +379,8 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_run_end_to_end;
           Alcotest.test_case "single writer" `Quick test_run_single_writer;
+          Alcotest.test_case "sampled latency and metrics" `Quick
+            test_run_sampled_latency_and_metrics;
           Alcotest.test_case "averaging" `Quick test_run_avg;
           Alcotest.test_case "sampled timeline" `Quick
             test_run_sampled_timeline;
@@ -367,8 +404,9 @@ let () =
           Alcotest.test_case "empty histogram" `Quick test_latency_empty;
           Alcotest.test_case "negative clamped" `Quick
             test_latency_negative_clamped;
-          Alcotest.test_case "measure end to end" `Quick
-            test_latency_measure_end_to_end;
+          Alcotest.test_case "single sample" `Quick test_latency_single_sample;
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_latency_record_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_latency_percentiles_monotone;
           QCheck_alcotest.to_alcotest prop_latency_bounded_error;
           QCheck_alcotest.to_alcotest prop_latency_merge_is_concat;
