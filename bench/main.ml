@@ -1,15 +1,19 @@
 (* Benchmark harness regenerating every evaluation figure of the paper
-   (Arbel & Attiya, PODC 2014, Section 5), plus micro-benchmarks and
-   ablations. See EXPERIMENTS.md for the experiment index and the expected
-   shapes.
+   (Arbel & Attiya, PODC 2014, Section 5), the committed BENCH_*.json
+   reports, and the ablations. EXPERIMENTS.md has the index, the expected
+   shapes, and the audit of which figure, committed report or CI gate
+   each command feeds.
 
-     dune exec bench/main.exe                 -- everything, scaled down
+     dune exec bench/main.exe                 -- fig8..skew, scaled down
      dune exec bench/main.exe -- fig8         -- RCU implementation impact
      dune exec bench/main.exe -- fig9         -- single-writer workload
      dune exec bench/main.exe -- fig10        -- the 2x3 throughput grid
-     dune exec bench/main.exe -- micro        -- bechamel op latencies
-     dune exec bench/main.exe -- gp           -- grace-period coalescing
      dune exec bench/main.exe -- ablation     -- restarts & grace periods
+     dune exec bench/main.exe -- contention   -- throughput vs update share
+     dune exec bench/main.exe -- skew         -- Zipfian key popularity
+     dune exec bench/main.exe -- serve        -- BENCH_serve.json
+     dune exec bench/main.exe -- callrcu      -- BENCH_fig9.json
+     dune exec bench/main.exe -- gp           -- BENCH_gp.json
      dune exec bench/main.exe -- fig10 --paper  -- full paper-scale runs
 
    The container runs on a single core, so the thread sweep exercises
@@ -27,11 +31,10 @@ module Dict = Repro_dict.Dict
 (* JSON collection: every sweep data point (with its sampled latency and
    serialization metrics) is accumulated here; with --json FILE they are
    written as one schema-versioned report. *)
-let collected : Json_report.experiment list ref = ref []
+let collected : (string * Json.t list) list ref = ref []
 
 let collect name points =
-  if points <> [] then
-    collected := { Json_report.name; points = List.rev points } :: !collected
+  if points <> [] then collected := (name, List.rev points) :: !collected
 
 type scale = {
   threads : int list;
@@ -61,8 +64,7 @@ let paper_scale =
     large_range = 2_000_000;
   }
 
-let sweep ?(out = Format.std_formatter) scale ~title ~csv ~role ~key_range
-    dicts =
+let sweep scale ~title ~role ~key_range dicts =
   let jpoints = ref [] in
   let series =
     List.map
@@ -74,7 +76,7 @@ let sweep ?(out = Format.std_formatter) scale ~title ~csv ~role ~key_range
                 W.config ~key_range ~role ~threads ~duration:scale.duration ()
               in
               let r = Runner.run_avg ~repeats:scale.repeats (module D) cfg in
-              jpoints := { Json_report.cfg; result = r } :: !jpoints;
+              jpoints := Json_report.point_json cfg r :: !jpoints;
               (threads, r.Runner.throughput))
             scale.threads
         in
@@ -82,18 +84,23 @@ let sweep ?(out = Format.std_formatter) scale ~title ~csv ~role ~key_range
       dicts
   in
   collect title !jpoints;
-  if csv then Report.print_csv ~out ~title ~threads:scale.threads series
-  else Report.print_table ~out ~title ~threads:scale.threads series
+  Report.print_table ~title ~threads:scale.threads series
+
+(* Median of repeated runs by [key]: the A/B tables compare ratios on a
+   noisy box, where a single interval wobbles +/-10%. *)
+let median key runs =
+  let sorted = List.sort (fun a b -> compare (key a) (key b)) runs in
+  List.nth sorted (List.length sorted / 2)
 
 (* --- Figure 8: Citrus over stock URCU vs the paper's new RCU --- *)
 
-let fig8 scale csv =
+let fig8 scale =
   Format.printf
     "@.Figure 8: impact of the RCU implementation on Citrus@.\
      (50%% contains, key range %d; the urcu curve should collapse as@.\
      updaters serialize on the global grace-period lock)@."
     scale.small_range;
-  sweep scale ~title:"fig8: citrus vs citrus-urcu (50% contains)" ~csv
+  sweep scale ~title:"fig8: citrus vs citrus-urcu (50% contains)"
     ~role:(W.Uniform W.contains_50) ~key_range:scale.small_range
     [
       (module Dict.Citrus_epoch);
@@ -103,7 +110,7 @@ let fig8 scale csv =
 
 (* --- Figure 9: single writer, readers otherwise --- *)
 
-let fig9 scale csv =
+let fig9 scale =
   Format.printf
     "@.Figure 9: single-writer workload (one thread 50%% insert / 50%%@.\
      delete, every other thread 100%% contains) - the setup that most@.\
@@ -112,7 +119,6 @@ let fig9 scale csv =
     (fun (label, range) ->
       sweep scale
         ~title:(Printf.sprintf "fig9: single writer, key range %s" label)
-        ~csv
         ~role:(W.Single_writer W.update_only)
         ~key_range:range Dict.paper_set)
     [
@@ -122,7 +128,7 @@ let fig9 scale csv =
 
 (* --- Figure 10: the 2x3 grid --- *)
 
-let fig10 scale csv =
+let fig10 scale =
   Format.printf
     "@.Figure 10: throughput under three operation distributions and two@.\
      key ranges. Expected shapes: 100%% contains favours the RCU trees;@.\
@@ -137,7 +143,7 @@ let fig10 scale csv =
             ~title:
               (Printf.sprintf "fig10: %s contains, key range %s" mix_label
                  range_label)
-            ~csv ~role:(W.Uniform mix) ~key_range:range Dict.paper_set)
+            ~role:(W.Uniform mix) ~key_range:range Dict.paper_set)
         [
           ("100%", W.read_only);
           ("98%", W.contains_98);
@@ -147,139 +153,6 @@ let fig10 scale csv =
       ("small", scale.small_range);
       ("large", scale.large_range);
     ]
-
-(* --- Micro: bechamel single-thread operation latency --- *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  Format.printf
-    "@.Micro-benchmark: single-thread operation latency (bechamel,@.\
-     monotonic clock; one Test.make per structure and operation)@.";
-  let tests =
-    List.concat_map
-      (fun (module D : Dict.DICT) ->
-        let n = 4096 in
-        let t = D.create () in
-        let h = D.register t in
-        (* Prefill the even keys in shuffled order — ascending insertion
-           would degenerate the unbalanced trees into lists and measure
-           shape, not synchronization. *)
-        let evens = Array.init (n / 2) (fun i -> 2 * i) in
-        let rng = Repro_sync.Rng.create 0xC0FFEEL in
-        for i = Array.length evens - 1 downto 1 do
-          let j = Repro_sync.Rng.int rng (i + 1) in
-          let tmp = evens.(i) in
-          evens.(i) <- evens.(j);
-          evens.(j) <- tmp
-        done;
-        Array.iter (fun k -> ignore (D.insert h k k)) evens;
-        let key = ref 0 in
-        let contains_test =
-          Test.make
-            ~name:(D.name ^ "/contains")
-            (Staged.stage (fun () ->
-                 key := (!key + 7919) land (n - 1);
-                 ignore (D.contains h !key)))
-        in
-        let update_test =
-          Test.make
-            ~name:(D.name ^ "/insert+delete")
-            (Staged.stage (fun () ->
-                 (* Odd keys are absent by construction: each cycle inserts
-                    and deletes a key at a random in-range position. *)
-                 key := (!key + 7919) land (n - 1);
-                 let k = !key lor 1 in
-                 ignore (D.insert h k k);
-                 ignore (D.delete h k)))
-        in
-        [ contains_test; update_test ])
-      Dict.all
-  in
-  let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s %s" tests in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> est
-          | Some _ | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Format.printf "%-32s %12s@." "benchmark" "ns/op";
-  List.iter (fun (name, ns) -> Format.printf "%-32s %12.1f@." name ns) rows
-
-(* --- Latency percentiles --- *)
-
-let latency scale =
-  Format.printf
-    "@.Operation latency percentiles (ns, sampled 1 in 16), %d threads, 50%%@.\
-     contains, key range %d. Watch the delete p99: Citrus deletes of@.\
-     two-child nodes pay a full grace period; structures without grace@.\
-     periods do not.@."
-    (List.fold_left max 1 scale.threads)
-    scale.small_range;
-  let threads = List.fold_left max 1 scale.threads in
-  Format.printf "%-12s %-9s %10s %10s %10s %10s %10s@." "structure" "op"
-    "mean" "p50" "p99" "p99.9" "max";
-  List.iter
-    (fun (module D : Dict.DICT) ->
-      let cfg =
-        W.config ~key_range:scale.small_range ~threads
-          ~duration:scale.duration ~role:(W.Uniform W.contains_50) ()
-      in
-      let r = Runner.run (module D) cfg in
-      List.iter
-        (fun (op, h) ->
-          let s = Repro_workload.Latency.summarize h in
-          Format.printf "%-12s %-9s %10.0f %10.0f %10.0f %10.0f %10.0f@."
-            D.name (Json_report.op_name op) s.Repro_workload.Latency.mean_ns
-            s.Repro_workload.Latency.p50 s.Repro_workload.Latency.p99
-            s.Repro_workload.Latency.p999 s.Repro_workload.Latency.max_ns)
-        r.Runner.latency)
-    Dict.all
-
-(* --- Throughput over time --- *)
-
-let timeline scale =
-  Format.printf
-    "@.Throughput over time (20ms samples, delete-heavy workload): stalls@.\
-     from long grace periods show as dips. Bars normalized per row.@.";
-  let threads = List.fold_left max 1 scale.threads in
-  List.iter
-    (fun (module D : Dict.DICT) ->
-      let cfg =
-        W.config ~key_range:2_048 ~threads
-          ~duration:(Float.max scale.duration 0.5)
-          ~role:(W.Uniform (W.mix ~contains:20 ~insert:40 ~delete:40))
-          ()
-      in
-      let r = Runner.run ~sample_interval:0.02 (module D) cfg in
-      let peak =
-        List.fold_left (fun m (_, v) -> Float.max m v) 1.0 r.Runner.samples
-      in
-      let bar v =
-        let w = int_of_float (v /. peak *. 30.0) in
-        String.make (max 0 w) '#'
-      in
-      Format.printf "%-12s peak %8s ops/s@." D.name (Report.si peak);
-      List.iter
-        (fun (at, v) ->
-          Format.printf "  %5.2fs %8s %s@." at (Report.si v) (bar v))
-        r.Runner.samples)
-    [ (module Dict.Citrus_epoch); (module Dict.Citrus_urcu) ]
 
 (* --- Skewed access (Zipfian) extension --- *)
 
@@ -314,84 +187,12 @@ let skew scale =
               ~duration:scale.duration ()
           in
           let r = Runner.run_avg ~repeats:scale.repeats (module D) cfg in
-          jpoints := { Json_report.cfg; result = r } :: !jpoints;
+          jpoints := Json_report.point_json cfg r :: !jpoints;
           Format.printf " %9s" (Report.si r.Runner.throughput))
         dists;
       Format.printf "@.")
     Dict.paper_set;
   collect "skew: Zipfian key popularity (50% contains)" !jpoints
-
-(* --- RCU flavour comparison (read-side and grace-period costs) --- *)
-
-let rcu_bench scale =
-  Format.printf
-    "@.RCU flavour comparison: read-side critical section cost (1 thread)@.\
-     and synchronize throughput against a fixed reader population.@.";
-  Format.printf "%-12s %18s %22s@." "flavour" "read cycle (ns)"
-    "synchronize/s (2 readers)";
-  List.iter
-    (fun (name, (module R : Repro_rcu.Rcu.S)) ->
-      (* Read-side cost: tight read_lock/read_unlock loop. *)
-      let r = R.create () in
-      let th = R.register r in
-      let iters = 2_000_000 in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        R.read_lock th;
-        R.read_unlock th
-      done;
-      let read_ns =
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-      in
-      R.unregister th;
-      (* Grace-period throughput with active readers. *)
-      let r = R.create () in
-      let stop = Atomic.make false in
-      let readers =
-        List.init 2 (fun _ ->
-            Domain.spawn (fun () ->
-                let th = R.register r in
-                while not (Atomic.get stop) do
-                  R.read_lock th;
-                  Domain.cpu_relax ();
-                  R.read_unlock th
-                done;
-                R.unregister th))
-      in
-      let th = R.register r in
-      let t0 = Unix.gettimeofday () in
-      let deadline = t0 +. scale.duration in
-      let gps = ref 0 in
-      while Unix.gettimeofday () < deadline do
-        R.synchronize r;
-        incr gps
-      done;
-      let wall = Unix.gettimeofday () -. t0 in
-      Atomic.set stop true;
-      List.iter Domain.join readers;
-      R.unregister th;
-      Format.printf "%-12s %18.1f %22.0f@." name read_ns
-        (float_of_int !gps /. wall))
-    Repro_rcu.Rcu.implementations;
-  Format.printf
-    "@.Node-lock comparison: uncontended acquire/release cycle (ns).@.";
-  let iters = 2_000_000 in
-  let tas = Repro_sync.Spinlock.create () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    Repro_sync.Spinlock.acquire tas;
-    Repro_sync.Spinlock.release tas
-  done;
-  let tas_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
-  let ticket = Repro_sync.Ticket_lock.create () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    Repro_sync.Ticket_lock.acquire ticket;
-    Repro_sync.Ticket_lock.release ticket
-  done;
-  let ticket_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
-  Format.printf "  test-and-set spinlock : %6.1f@." tas_ns;
-  Format.printf "  ticket lock           : %6.1f@." ticket_ns
 
 (* --- Grace-period coalescing microbenchmark --- *)
 
@@ -490,50 +291,15 @@ let gp_point_json p =
       ("sync_coalesced", Json.Int p.gp_coalesced);
     ]
 
-(* The gp report does not carry workload points, so it is assembled here
-   rather than through [Json_report.report] — but with the same top-level
-   schema fields (schema_version / generator / generated_at_unix /
-   experiments) so trajectory tooling can ingest both. *)
-let gp_json ~duration points =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Json_report.schema_version);
-      ("generator", Json.String "citrus-repro bench");
-      ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
-      ( "meta",
-        Json.Obj
-          [
-            ("benchmark", Json.String "gp");
-            ("readers", Json.Int gp_readers);
-            ("duration_s", Json.Float duration);
-          ] );
-      ( "experiments",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("name", Json.String "gp: grace-period coalescing");
-                ("points", Json.List (List.map gp_point_json points));
-              ];
-          ] );
-    ]
-
 let gp_bench scale quick json =
   let duration = if quick then 0.05 else Float.max scale.duration 1.0 in
   let sweeps = if quick then [ 2; 4 ] else scale.threads in
-  (* Median of several intervals per cell: a single interval wobbles
-     +/-10% under scheduler noise on few cores, which matters when the
-     point of the table is an A/B ratio. *)
   let reps = if quick then 1 else max scale.repeats 3 in
   let measure (module R : Repro_rcu.Rcu.S) ~syncers ~coalescing =
-    let runs =
-      List.init reps (fun _ ->
-          gp_measure (module R) ~syncers ~duration ~coalescing)
-    in
-    let sorted =
-      List.sort (fun a b -> compare a.gp_sync_per_s b.gp_sync_per_s) runs
-    in
-    List.nth sorted (reps / 2)
+    median
+      (fun p -> p.gp_sync_per_s)
+      (List.init reps (fun _ ->
+           gp_measure (module R) ~syncers ~duration ~coalescing))
   in
   Format.printf
     "@.Grace-period coalescing: N domains calling synchronize back to@.\
@@ -570,17 +336,25 @@ let gp_bench scale quick json =
                 speedup frac)
             sweeps)
         Repro_rcu.Rcu.implementations);
-  match json with
-  | None -> ()
-  | Some file -> (
-      let doc = gp_json ~duration (List.rev !points) in
-      match Json_report.write file doc with
-      | () ->
-          Format.printf "wrote JSON report: %s (%d points)@." file
-            (List.length !points)
-      | exception Sys_error msg ->
-          Format.eprintf "cannot write JSON report: %s@." msg;
-          exit 1)
+  Option.iter
+    (fun file ->
+      Json_report.write file
+        (Json_report.report
+           ~meta:
+             [
+               ( "meta",
+                 Json.Obj
+                   [
+                     ("benchmark", Json.String "gp");
+                     ("readers", Json.Int gp_readers);
+                     ("duration_s", Json.Float duration);
+                   ] );
+             ]
+           [
+             ( "gp: grace-period coalescing",
+               List.rev_map gp_point_json !points );
+           ]))
+    json
 
 (* --- Ablations --- *)
 
@@ -640,7 +414,6 @@ let ablation scale =
     "@.Ablation A2: grace-period cost - delete/insert-only workload@.\
      (every two-child delete waits for readers; epoch-rcu vs urcu)@.";
   sweep scale ~title:"ablation: update-only (50% insert / 50% delete)"
-    ~csv:false
     ~role:(W.Uniform W.update_only)
     ~key_range:1024
     [ (module Dict.Citrus_epoch); (module Dict.Citrus_urcu) ];
@@ -735,7 +508,7 @@ let contention scale =
               ~threads ~duration:scale.duration ()
           in
           let r = Runner.run_avg ~repeats:scale.repeats (module D) cfg in
-          jpoints := { Json_report.cfg; result = r } :: !jpoints;
+          jpoints := Json_report.point_json cfg r :: !jpoints;
           Format.printf " %9s" (Report.si r.Runner.throughput))
         [ 0; 2; 10; 20; 50; 100 ];
       Format.printf "@.")
@@ -812,19 +585,15 @@ let serve_bench scale quick json =
         one.Serve.cfg.Serve.shards
         (many.Serve.write_throughput /. Float.max one.Serve.write_throughput 1.)
   | _ -> ());
-  match json with
-  | None -> ()
-  | Some file -> (
-      let doc =
-        Serve.report ~name:"serve: write throughput vs shards" results
-      in
-      match Json_report.write file doc with
-      | () ->
-          Format.printf "wrote JSON report: %s (%d points)@." file
-            (List.length results)
-      | exception Sys_error msg ->
-          Format.eprintf "cannot write JSON report: %s@." msg;
-          exit 1)
+  Option.iter
+    (fun file ->
+      Json_report.write file
+        (Json_report.report
+           [
+             ( "serve: write throughput vs shards",
+               List.map Serve.point_json results );
+           ]))
+    json
 
 (* --- call_rcu: inline grace-period waits vs background reclamation ---
 
@@ -850,12 +619,6 @@ let callrcu_ab on f =
   Fun.protect ~finally:(fun () -> Rec.set_call_rcu was) f
 
 let callrcu_label on = if on then "call_rcu" else "inline"
-
-(* Median-of-[reps] by [key]: these are A/B ratios on a noisy box. *)
-let median reps key runs =
-  ignore reps;
-  let sorted = List.sort (fun a b -> compare (key a) (key b)) runs in
-  List.nth sorted (List.length sorted / 2)
 
 let callrcu_fig9 ~duration ~reps ~threads_list =
   let key_range = 8_192 in
@@ -892,7 +655,7 @@ let callrcu_fig9 ~duration ~reps ~threads_list =
                 float_of_int (r.Runner.insert_ops + r.Runner.delete_ops)
                 /. r.Runner.wall
               in
-              let r = median reps updater runs in
+              let r = median updater runs in
               let met k =
                 try List.assoc k r.Runner.metrics with Not_found -> 0.
               in
@@ -953,7 +716,7 @@ let callrcu_serve ~duration ~reps ~rate =
             Repro_workload.Latency.summarize (Repro_workload.Latency.histogram ())
       in
       let p99 r = (summary r W.Insert).Repro_workload.Latency.p99 in
-      let r = median reps p99 runs in
+      let r = median p99 runs in
       let ins = summary r W.Insert in
       Format.printf "%10s %12s %12s %12.0fns %12.0fns@." (callrcu_label on)
         (Report.si r.Serve.load.Open_loop.achieved)
@@ -1027,25 +790,6 @@ let callrcu_readside ~duration ~readers_list =
         ])
     readers_list
 
-let callrcu_json ~meta experiments =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Json_report.schema_version);
-      ("generator", Json.String "citrus-repro bench");
-      ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
-      ("meta", Json.Obj meta);
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (name, points) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("points", Json.List points);
-                 ])
-             experiments) );
-    ]
-
 let callrcu_bench scale quick json =
   let duration = if quick then 0.15 else Float.max scale.duration 1.0 in
   let reps = if quick then 1 else max scale.repeats 3 in
@@ -1060,31 +804,26 @@ let callrcu_bench scale quick json =
       ~duration:(Float.min duration 0.5)
       ~readers_list:(if quick then [ 1; 2 ] else [ 1; 2; 4 ])
   in
-  match json with
-  | None -> ()
-  | Some file -> (
-      let doc =
-        callrcu_json
-          ~meta:
-            [
-              ("benchmark", Json.String "callrcu");
-              ("duration_s", Json.Float duration);
-              ("repeats", Json.Int reps);
-            ]
-          [
-            ("callrcu: fig9 write-heavy updater throughput", fig9_points);
-            ("callrcu: serve write p99, 1 shard citrus-urcu", serve_points);
-            ("callrcu: read-side registry cycles", read_points);
-          ]
-      in
-      match Json_report.write file doc with
-      | () ->
-          Format.printf "wrote JSON report: %s (%d points)@." file
-            (List.length fig9_points + List.length serve_points
-           + List.length read_points)
-      | exception Sys_error msg ->
-          Format.eprintf "cannot write JSON report: %s@." msg;
-          exit 1)
+  Option.iter
+    (fun file ->
+      Json_report.write file
+        (Json_report.report
+           ~meta:
+             [
+               ( "meta",
+                 Json.Obj
+                   [
+                     ("benchmark", Json.String "callrcu");
+                     ("duration_s", Json.Float duration);
+                     ("repeats", Json.Int reps);
+                   ] );
+             ]
+           [
+             ("callrcu: fig9 write-heavy updater throughput", fig9_points);
+             ("callrcu: serve write p99, 1 shard citrus-urcu", serve_points);
+             ("callrcu: read-side registry cycles", read_points);
+           ]))
+    json
 
 (* --- command line --- *)
 
@@ -1123,9 +862,6 @@ let scale_term =
   in
   Term.(const combine $ paper $ threads $ duration $ repeats)
 
-let csv_term =
-  Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of tables.")
-
 let json_term =
   Arg.(
     value
@@ -1151,125 +887,61 @@ let scale_meta scale =
   ]
 
 let finish scale json =
-  match json with
-  | None -> ()
-  | Some file -> (
-      let doc = Json_report.report ~meta:(scale_meta scale) (List.rev !collected) in
-      match Json_report.write file doc with
-      | () ->
-          Format.printf "wrote JSON report: %s (%d experiments)@." file
-            (List.length !collected)
-      | exception Sys_error msg ->
-          Format.eprintf "cannot write JSON report: %s@." msg;
-          exit 1)
+  Option.iter
+    (fun file ->
+      Json_report.write file
+        (Json_report.report ~meta:(scale_meta scale) (List.rev !collected)))
+    json
 
-let wrap f scale csv json =
-  f scale csv;
+let wrap f scale json =
+  f scale;
   finish scale json
 
 let cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const (wrap f) $ scale_term $ csv_term $ json_term)
+  Cmd.v (Cmd.info name ~doc) Term.(const (wrap f) $ scale_term $ json_term)
 
-let run_all scale csv =
-  fig8 scale csv;
-  fig9 scale csv;
-  fig10 scale csv;
+(* One --quick for the commands CI smoke-tests. *)
+let quick_term =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:
+          "CI smoke scale: short single-repeat runs over a reduced sweep. \
+           The numbers are meaningless for performance; the run validates \
+           the harness and the JSON schema.")
+
+let run_all scale =
+  fig8 scale;
+  fig9 scale;
+  fig10 scale;
   ablation scale;
   contention scale;
-  skew scale;
-  rcu_bench scale;
-  latency scale;
-  micro ()
-
-let all_cmd =
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment (default).")
-    Term.(const (wrap run_all) $ scale_term $ csv_term $ json_term)
-
-let micro_cmd =
-  Cmd.v (Cmd.info "micro" ~doc:"Bechamel single-thread latencies.")
-    Term.(const (fun _ _ -> micro ()) $ scale_term $ csv_term)
+  skew scale
 
 let ablation_cmd =
   Cmd.v
     (Cmd.info "ablation" ~doc:"Citrus restart/grace-period ablations.")
-    Term.(const (fun scale _ -> ablation scale) $ scale_term $ csv_term)
-
-let latency_cmd =
-  Cmd.v
-    (Cmd.info "latency" ~doc:"Per-operation latency percentiles.")
-    Term.(const (fun scale _ -> latency scale) $ scale_term $ csv_term)
-
-let rcu_cmd =
-  Cmd.v
-    (Cmd.info "rcu" ~doc:"RCU flavour and node-lock cost comparison.")
-    Term.(const (fun scale _ -> rcu_bench scale) $ scale_term $ csv_term)
-
-let contention_cmd =
-  Cmd.v
-    (Cmd.info "contention" ~doc:"Throughput vs update fraction sweep.")
-    Term.(
-      const (wrap (fun scale _ -> contention scale))
-      $ scale_term $ csv_term $ json_term)
-
-let skew_cmd =
-  Cmd.v
-    (Cmd.info "skew" ~doc:"Throughput under Zipfian key popularity.")
-    Term.(
-      const (wrap (fun scale _ -> skew scale))
-      $ scale_term $ csv_term $ json_term)
+    Term.(const ablation $ scale_term)
 
 let gp_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "CI smoke scale: 50ms intervals, 2 and 4 synchronizers only. \
-             The numbers are meaningless for performance; the run \
-             validates the harness and the JSON schema.")
-  in
   Cmd.v
     (Cmd.info "gp"
        ~doc:
          "Grace-period coalescing microbenchmark: concurrent synchronize \
           throughput with the coalescing machinery on vs off, per RCU \
           flavour.")
-    Term.(const gp_bench $ scale_term $ quick $ json_term)
+    Term.(const gp_bench $ scale_term $ quick_term $ json_term)
 
 let serve_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "CI smoke scale: 0.2s runs at 1 and 2 shards. The numbers are \
-             meaningless for performance; the run validates the harness \
-             and the JSON schema.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Sharded-service benchmark: aggregate write throughput under \
           saturating open-loop load as the shard count grows (see \
           SERVING.md).")
-    Term.(const serve_bench $ scale_term $ quick $ json_term)
-
-let timeline_cmd =
-  Cmd.v
-    (Cmd.info "timeline" ~doc:"Throughput over time (grace-period stalls).")
-    Term.(const (fun scale _ -> timeline scale) $ scale_term $ csv_term)
+    Term.(const serve_bench $ scale_term $ quick_term $ json_term)
 
 let callrcu_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "CI smoke scale: 0.15s single-repeat runs. The numbers are \
-             meaningless for performance; the run validates the harness, \
-             the A/B switch, and the JSON schema.")
-  in
   Cmd.v
     (Cmd.info "callrcu"
        ~doc:
@@ -1277,27 +949,25 @@ let callrcu_cmd =
           write-heavy Citrus updater throughput (fig9-style), serve-bench \
           write p99 on the grace-period-bound configuration, and the \
           read-side registry cycle cost (must not change).")
-    Term.(const callrcu_bench $ scale_term $ quick $ json_term)
+    Term.(const callrcu_bench $ scale_term $ quick_term $ json_term)
 
 let main =
   Cmd.group
-    ~default:Term.(const (wrap run_all) $ scale_term $ csv_term $ json_term)
+    ~default:Term.(const (wrap run_all) $ scale_term $ json_term)
     (Cmd.info "bench" ~doc:"Reproduce the Citrus paper's evaluation.")
     [
       cmd "fig8" "RCU implementation impact on Citrus (Figure 8)." fig8;
       cmd "fig9" "Single-writer workload (Figure 9)." fig9;
       cmd "fig10" "Throughput grid (Figure 10)." fig10;
       ablation_cmd;
-      contention_cmd;
-      skew_cmd;
-      timeline_cmd;
+      cmd "contention" "Throughput vs update fraction sweep." contention;
+      cmd "skew" "Throughput under Zipfian key popularity." skew;
       serve_cmd;
       callrcu_cmd;
       gp_cmd;
-      rcu_cmd;
-      latency_cmd;
-      micro_cmd;
-      all_cmd;
+      cmd "all"
+        "Run fig8, fig9, fig10, ablation, contention and skew (default)."
+        run_all;
     ]
 
 let () =

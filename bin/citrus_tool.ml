@@ -11,6 +11,7 @@
 module W = Repro_workload.Workload
 module Runner = Repro_workload.Runner
 module Report = Repro_workload.Report
+module Json_report = Repro_workload.Json_report
 module Dict = Repro_dict.Dict
 module Checker = Repro_linchecker.Checker
 module Lin_harness = Repro_linchecker.Lin_harness
@@ -138,26 +139,14 @@ let soak name trials =
     exit 1
   end
 
-let print_latency (r : Runner.result) =
+let print_latency latency =
   List.iter
     (fun (op, h) ->
       Format.printf "  %-9s %a@."
-        (Repro_workload.Json_report.op_name op)
+        (Json_report.op_name op)
         Repro_workload.Latency.pp_summary
         (Repro_workload.Latency.summarize h))
-    r.latency
-
-let latency name threads duration keys contains_pct =
-  let (module D) = resolve name in
-  let mix = contains_mix contains_pct in
-  let cfg =
-    W.config ~key_range:keys ~threads ~duration ~role:(W.Uniform mix) ()
-  in
-  Printf.printf
-    "latency of %s (sampled 1 in 16): %d threads, %.1fs, keys [0,%d)\n%!"
-    D.name threads duration keys;
-  let r = registry_guard threads (fun () -> Runner.run (module D) cfg) in
-  print_latency r
+    latency
 
 (* Live observability: run a short workload and dump the
    serialization metrics (and optionally the event trace) that explain its
@@ -187,7 +176,7 @@ let stats name threads duration keys contains_pct trace_events json_file =
       else Format.printf "  %-24s %12.1f@." k v)
     r.Runner.metrics;
   Format.printf "@.per-operation latency (sampled 1 in 16):@.";
-  print_latency r;
+  print_latency r.Runner.latency;
   if trace_events > 0 then begin
     let events = Repro_sync.Trace.dump () in
     let n = List.length events in
@@ -216,20 +205,9 @@ let stats name threads duration keys contains_pct trace_events json_file =
           [ ("trace", Repro_obs.Export.trace_json ~limit:trace_events ()) ]
         else []
       in
-      let doc =
-        Repro_workload.Json_report.report ~meta
-          [
-            {
-              Repro_workload.Json_report.name = "stats: " ^ D.name;
-              points = [ { Repro_workload.Json_report.cfg; result = r } ];
-            };
-          ]
-      in
-      (match Repro_workload.Json_report.write file doc with
-      | () -> Printf.printf "wrote JSON report: %s\n" file
-      | exception Sys_error msg ->
-          Printf.eprintf "cannot write JSON report: %s\n" msg;
-          exit 1)
+      Json_report.write file
+        (Json_report.report ~meta
+           [ ("stats: " ^ D.name, [ Json_report.point_json cfg r ]) ])
 
 (* Open-loop serving demo: stand up the sharded service over one
    structure, offer a fixed load, report per-op latency percentiles and
@@ -315,23 +293,17 @@ let serve name shards clients queue_depth drain_batch rate duration keys
         (float_of_int c.Serve.shutdown_deadline_ns /. 1e6)
         (List.length reports));
   Format.printf "per-operation latency (scheduled arrival -> completion):@.";
-  List.iter
-    (fun (op, h) ->
-      Format.printf "  %-9s %a@."
-        (Repro_workload.Json_report.op_name op)
-        Repro_workload.Latency.pp_summary
-        (Repro_workload.Latency.summarize h))
-    l.Repro_workload.Open_loop.latency;
+  print_latency l.Repro_workload.Open_loop.latency;
   print_endline "invariants: OK";
   match json_file with
   | None -> ()
-  | Some file -> (
-      let doc = Serve.report [ r ] in
-      match Repro_workload.Json_report.write file doc with
-      | () -> Printf.printf "wrote JSON report: %s\n" file
-      | exception Sys_error msg ->
-          Printf.eprintf "cannot write JSON report: %s\n" msg;
-          exit 1)
+  | Some file ->
+      Json_report.write file
+        (Json_report.report
+           [
+             ( "serve: open-loop load on the sharded service",
+               [ Serve.point_json r ] );
+           ])
 
 (* Chaos harness (ROBUSTNESS.md): open-loop load while a driver crashes
    every shard's updater and optionally wedges drains; asserts zero
@@ -424,14 +396,7 @@ let chaos name shards clients queue_depth drain_batch rate duration keys
       "stall-reader: %d breaker trip(s), max reclamation pressure %.2f \
        (watermark %d)\n"
       r.Chaos.breaker_trips r.Chaos.max_pressure c.Chaos.stall_reader_watermark;
-  (match json_file with
-  | None -> ()
-  | Some file -> (
-      match Repro_workload.Json_report.write file (Chaos.json c r) with
-      | () -> Printf.printf "wrote JSON report: %s\n" file
-      | exception Sys_error msg ->
-          Printf.eprintf "cannot write JSON report: %s\n" msg;
-          exit 1));
+  Option.iter (fun file -> Json_report.write file (Chaos.json c r)) json_file;
   match r.Chaos.failures @ validator_failures with
   | [] ->
       print_endline
@@ -562,35 +527,29 @@ let model scenario_name max_states no_dpor quick json_file =
         (sc, r))
       scenarios
   in
-  (match json_file with
-  | None -> ()
-  | Some file -> (
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n  \"scenarios\": [\n";
-      List.iteri
-        (fun i ((sc : Engine.scenario), (r : Engine.result)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": %S, \"descr\": %S, \"dpor\": %b, \"traces\": \
-                %d, \"pruned\": %d, \"states\": %d, \"deepest\": %d, \
-                \"exhausted\": %b, \"violation\": %s}%s\n"
-               sc.name sc.descr r.dpor r.stats.traces r.stats.pruned
-               r.stats.steps_total r.stats.deepest r.stats.exhausted
-               (match r.counterexample with
-               | None -> "null"
-               | Some cx -> Printf.sprintf "%S" cx.error)
-               (if i < List.length results - 1 then "," else "")))
-        results;
-      Buffer.add_string buf "  ]\n}\n";
-      match
-        let oc = open_out file in
-        output_string oc (Buffer.contents buf);
-        close_out oc
-      with
-      | () -> Printf.printf "wrote JSON report: %s\n" file
-      | exception Sys_error msg ->
-          Printf.eprintf "cannot write JSON report: %s\n" msg;
-          exit 1));
+  let module Json = Repro_obs.Json in
+  let scenario_json ((sc : Engine.scenario), (r : Engine.result)) =
+    Json.Obj
+      [
+        ("name", Json.String sc.name);
+        ("descr", Json.String sc.descr);
+        ("dpor", Json.Bool r.dpor);
+        ("traces", Json.Int r.stats.traces);
+        ("pruned", Json.Int r.stats.pruned);
+        ("states", Json.Int r.stats.steps_total);
+        ("deepest", Json.Int r.stats.deepest);
+        ("exhausted", Json.Bool r.stats.exhausted);
+        ( "violation",
+          match r.counterexample with
+          | None -> Json.Null
+          | Some cx -> Json.String cx.error );
+      ]
+  in
+  Option.iter
+    (fun file ->
+      Json_report.write file
+        (Json.Obj [ ("scenarios", Json.List (List.map scenario_json results)) ]))
+    json_file;
   let violated =
     List.filter (fun (_, (r : Engine.result)) -> r.counterexample <> None) results
   in
@@ -733,25 +692,6 @@ let soak_cmd =
     (Cmd.info "soak"
        ~doc:"Single-key conservation soak (lost/duplicated-update detector).")
     Term.(const soak $ name_arg $ trials)
-
-let latency_cmd =
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads" ] ~doc:"Worker domains.")
-  in
-  let duration =
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~doc:"Seconds.")
-  in
-  let keys =
-    Arg.(value & opt int 16_384 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let contains =
-    Arg.(
-      value & opt int 50
-      & info [ "contains" ] ~doc:"Percentage of contains operations.")
-  in
-  Cmd.v
-    (Cmd.info "latency" ~doc:"Per-operation latency percentiles.")
-    Term.(const latency $ name_arg $ threads $ duration $ keys $ contains)
 
 let stats_cmd =
   let threads =
@@ -1308,7 +1248,6 @@ let main =
       stats_cmd;
       lincheck_cmd;
       balance_cmd;
-      latency_cmd;
       soak_cmd;
       torture_cmd;
       mutants_cmd;

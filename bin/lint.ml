@@ -7,16 +7,14 @@
    1. No [Mutex] / [Condition] (including through [Stdlib.]) outside
       lib/rcu/gp.ml: blocking primitives belong to the one audited wait
       queue ([Gp.Waitq]); anywhere else they would hide from the lockdep
-      validator, which instruments [Spinlock]/[Ticket_lock]/[Gp.Waitq]
-      only.
+      validator, which instruments [Spinlock]/[Gp.Waitq] only.
    2. No [Obj.magic], anywhere: this repository proves its safety
       properties with runtime validators, and a single unsound cast
       voids all of them.
    3. No raw [Atomic] writes to documented lock-protected fields from
       outside the owning file: [gp_seq] (urcu — written only by the
-      gp_lock holder), [serving] (ticket lock — written only by the
-      lock holder), [ltag]/[rtag] (citrus — written only under the node
-      lock). Reads stay free, as the algorithms require.
+      gp_lock holder), [ltag]/[rtag] (citrus — written only under the
+      node lock). Reads stay free, as the algorithms require.
    4. Every .ml under lib/ has a matching .mli, so representation
       invariants stay sealed; module-type-only *_intf.ml files are
       exempt (an .mli would duplicate them token for token).
@@ -25,8 +23,8 @@
       replayable from the config's explicit seed (chaos schedules,
       mutation verdicts, and latency reports all depend on it).
    6. No get-then-set read-modify-write on the protocol counters
-      ([gp_seq], [gp_completed], [gp_started], [scanning], [serving],
-      [ltag], [rtag]): an [Atomic.set] whose value nests an [Atomic.get]
+      ([gp_seq], [gp_completed], [gp_started], [scanning], [ltag],
+      [rtag]): an [Atomic.set] whose value nests an [Atomic.get]
       of the same field loses concurrent updates — use [fetch_and_add] or
       [compare_and_set]. Reader slot words and the lock-held [gp_ctr]
       flip are exempt: their get-then-set is single-writer by protocol.
@@ -67,7 +65,6 @@ let mutex_exempt file = Filename.check_suffix file "rcu/gp.ml"
 let protected_fields =
   [
     ("gp_seq", "lib/rcu/urcu.ml");
-    ("serving", "lib/sync/ticket_lock.ml");
     ("ltag", "lib/citrus/citrus.ml");
     ("rtag", "lib/citrus/citrus.ml");
   ]
@@ -98,7 +95,6 @@ let rmw_fields =
     "gp_completed";
     "gp_started";
     "scanning";
-    "serving";
     "ltag";
     "rtag";
   ]
@@ -168,7 +164,7 @@ let check_modules ~file ~all (lid : Longident.t Location.loc) =
       if List.mem m forbidden_modules && not (mutex_exempt file) then
         err ~file ~line:(line_of lid.loc)
           "use of %s: blocking primitives are reserved for lib/rcu/gp.ml \
-           (Gp.Waitq); use Spinlock/Ticket_lock so lockdep sees the lock"
+           (Gp.Waitq); use Spinlock so lockdep sees the lock"
           m;
       if m = "Random" && in_deterministic_dir file then
         err ~file ~line:(line_of lid.loc)

@@ -331,20 +331,3 @@ let point_json (r : result) =
       ("final_size", Json.Int r.final_size);
       ("metrics", Repro_obs.Export.metrics_json r.metrics);
     ]
-
-let report ?(name = "serve: open-loop load on the sharded service") results =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Json_report.schema_version);
-      ("generator", Json.String "citrus-repro serve");
-      ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
-      ( "experiments",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("name", Json.String name);
-                ("points", Json.List (List.map point_json results));
-              ];
-          ] );
-    ]

@@ -122,8 +122,5 @@ val point_json : result -> Repro_obs.Json.t
     per-op [latency_ns] percentile summaries and drop counts, per-shard
     queue statistics and health states, breaker trip/reject totals and
     final states, the shutdown mode (with per-shard forced-drain
-    reports when forced), and the metrics snapshot. *)
-
-val report : ?name:string -> result list -> Repro_obs.Json.t
-(** A full schema-v1 document with the given points as one experiment —
-    the shape of [BENCH_serve.json] (see OBSERVABILITY.md). *)
+    reports when forced), and the metrics snapshot. Reports wrap these
+    points in {!Repro_workload.Json_report.report}. *)

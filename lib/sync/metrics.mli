@@ -49,7 +49,7 @@ val sync_coalesced : Stats.t
     of grace-period waits the coalescing machinery elided. *)
 
 val lock_acquires : Stats.t
-(** Successful lock acquisitions (spinlock + ticket lock). *)
+(** Successful lock acquisitions (spinlock). *)
 
 val lock_contended : Stats.t
 (** Acquisitions that found the lock held and had to spin. *)

@@ -2,16 +2,6 @@ module Json = Repro_obs.Json
 
 let schema_version = 1
 
-type point = {
-  cfg : Workload.config;
-  result : Runner.result;
-}
-
-type experiment = {
-  name : string;
-  points : point list;
-}
-
 let op_name = function
   | Workload.Contains -> "contains"
   | Workload.Insert -> "insert"
@@ -60,7 +50,7 @@ let summary_json (s : Latency.summary) =
       ("max_ns", Json.Float s.max_ns);
     ]
 
-let point_json { cfg; result = r } =
+let point_json cfg (r : Runner.result) =
   Json.Obj
     [
       ("structure", Json.String r.Runner.name);
@@ -85,13 +75,6 @@ let point_json { cfg; result = r } =
       ("metrics", Repro_obs.Export.metrics_json r.Runner.metrics);
     ]
 
-let experiment_json { name; points } =
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("points", Json.List (List.map point_json points));
-    ]
-
 let report ?(meta = []) experiments =
   Json.Obj
     ([
@@ -100,6 +83,19 @@ let report ?(meta = []) experiments =
        ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
      ]
     @ meta
-    @ [ ("experiments", Json.List (List.map experiment_json experiments)) ])
+    @ [
+        ( "experiments",
+          Json.List
+            (List.map
+               (fun (name, points) ->
+                 Json.Obj
+                   [ ("name", Json.String name); ("points", Json.List points) ])
+               experiments) );
+      ])
 
-let write path json = Repro_obs.Export.write_file path json
+let write path json =
+  match Repro_obs.Export.write_file path json with
+  | () -> Format.printf "wrote JSON report: %s@." path
+  | exception Sys_error msg ->
+      Format.eprintf "cannot write JSON report: %s@." msg;
+      exit 1

@@ -30,19 +30,6 @@ let print_table ?(out = default_out) ~title ~threads series =
     series;
   Format.pp_print_flush out ()
 
-let print_csv ?(out = default_out) ~title ~threads series =
-  Format.fprintf out "experiment,structure,threads,ops_per_sec@.";
-  List.iter
-    (fun s ->
-      List.iter
-        (fun t ->
-          match List.assoc_opt t s.points with
-          | Some v -> Format.fprintf out "%s,%s,%d,%.0f@." title s.label t v
-          | None -> ())
-        threads)
-    series;
-  Format.pp_print_flush out ()
-
 let print_result ?(out = default_out) (r : Runner.result) =
   Format.fprintf out
     "  %-12s t=%-3d %8s ops/s (c=%d i=%d d=%d, wall %.2fs, size %d)@."

@@ -11,9 +11,5 @@ val print_table :
   ?out:Format.formatter -> title:string -> threads:int list -> series list -> unit
 (** Render an aligned table; missing points print as "-". *)
 
-val print_csv :
-  ?out:Format.formatter -> title:string -> threads:int list -> series list -> unit
-(** Machine-readable rendering: [title,label,threads,throughput] rows. *)
-
 val print_result : ?out:Format.formatter -> Runner.result -> unit
 (** One-line summary of a single run (used in verbose mode). *)

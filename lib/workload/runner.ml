@@ -12,7 +12,6 @@ type result = {
   wall : float;
   throughput : float;
   final_size : int;
-  samples : (float * float) list;
   latency : (Workload.op * Latency.histogram) list;
   metrics : (string * float) list;
 }
@@ -31,7 +30,7 @@ type thread_counts = {
 let latency_sample_shift = 4
 let latency_sample_mask = (1 lsl latency_sample_shift) - 1
 
-let run ?sample_interval (module D : Repro_dict.Dict.DICT)
+let run (module D : Repro_dict.Dict.DICT)
     (cfg : Workload.config) =
   let t = D.create ~max_threads:(cfg.threads + 2) () in
   let master = Rng.create cfg.seed in
@@ -46,9 +45,6 @@ let run ?sample_interval (module D : Repro_dict.Dict.DICT)
     if D.insert setup k k then incr filled
   done;
   D.unregister setup;
-  (* Aggregate progress, bumped once per 64-op batch so the sampler never
-     contends with the hot path. *)
-  let progress = Atomic.make 0 in
   (* A worker that finds the slot registry full cannot just raise: the
      start barrier would never fill and every other domain would hang. It
      records the failure, still joins the barrier, and exits; the main
@@ -94,8 +90,7 @@ let run ?sample_interval (module D : Repro_dict.Dict.DICT)
                 dt
             end
             else apply op k
-          done;
-          ignore (Atomic.fetch_and_add progress 64)
+          done
         done;
         D.unregister handle
   in
@@ -131,27 +126,7 @@ let run ?sample_interval (module D : Repro_dict.Dict.DICT)
     raise Repro_sync.Registry.Full
   end;
   let t0 = Unix.gettimeofday () in
-  let samples =
-    match sample_interval with
-    | None ->
-        Unix.sleepf cfg.duration;
-        []
-    | Some interval ->
-        let interval = Float.max interval 0.001 in
-        let deadline = t0 +. cfg.duration in
-        let rec sample acc last_ops =
-          let now = Unix.gettimeofday () in
-          if now >= deadline then List.rev acc
-          else begin
-            Unix.sleepf (Float.min interval (deadline -. now));
-            let ops = Atomic.get progress in
-            let now' = Unix.gettimeofday () in
-            let rate = float_of_int (ops - last_ops) /. (now' -. now) in
-            sample ((now' -. t0, rate) :: acc) ops
-          end
-        in
-        sample [] 0
-  in
+  Unix.sleepf cfg.duration;
   Atomic.set stop true;
   List.iter Domain.join domains;
   let wall = Unix.gettimeofday () -. t0 in
@@ -187,7 +162,6 @@ let run ?sample_interval (module D : Repro_dict.Dict.DICT)
     wall;
     throughput = float_of_int total_ops /. wall;
     final_size = D.size t;
-    samples;
     latency;
     metrics;
   }
@@ -240,7 +214,6 @@ let run_avg ?(repeats = 1) (module D : Repro_dict.Dict.DICT)
     wall = favg (fun r -> r.wall);
     throughput = favg (fun r -> r.throughput);
     final_size = iavg (fun r -> r.final_size);
-    samples = [];
     latency;
     metrics;
   }

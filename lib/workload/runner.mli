@@ -20,10 +20,6 @@ type result = {
   wall : float;  (** measured wall-clock seconds *)
   throughput : float;  (** operations per second *)
   final_size : int;
-  samples : (float * float) list;
-      (** (seconds since start, ops/s within that interval); empty unless
-          [sample_interval] was given — stalls (e.g. long grace periods)
-          appear as dips *)
   latency : (Workload.op * Latency.histogram) list;
       (** sampled per-operation latency (1 op in 16 timed); omits
           operation types that never ran *)
@@ -32,19 +28,13 @@ type result = {
           (catalogue in OBSERVABILITY.md) *)
 }
 
-val run :
-  ?sample_interval:float ->
-  (module Repro_dict.Dict.DICT) ->
-  Workload.config ->
-  result
+val run : (module Repro_dict.Dict.DICT) -> Workload.config -> result
 (** One timed execution. The dictionary's invariant checker runs after the
     clock stops; violations raise.
     @raise Repro_sync.Registry.Full if the structure cannot register all
       [cfg.threads] workers — raised on the calling thread after every
       spawned domain has been joined, so the process is left clean for the
       CLI to report the error.
-    With [sample_interval] the aggregate
-    progress counter is sampled on that period and reported in [samples].
     The run resets the global {!Repro_sync.Metrics} after the prefill and
     snapshots them after the workers join, so [metrics] covers the
     measured interval only. *)

@@ -316,6 +316,99 @@ let suites =
       C.suite)
     Repro_dict.Dict.all
 
+(* Allocation table: minor words per [contains] and per insert+delete
+   cycle for every structure in [Dict.all], on the default configuration
+   (sanitizer and lockdep disarmed, whatever the environment armed). The
+   key set is 4096 random even inserts over 2048 keys, then 16384
+   lookups of hits and misses; the cycles insert and delete odd keys
+   above that range. Each bound is the structure's measured value
+   rounded up (0.1 word per contains, 1 word per cycle; skiplist towers
+   and cf-tree maintenance vary a little between windows, so theirs sit
+   above the measured maximum). An allocation regression anywhere, or a
+   structure without a row, fails deterministically. *)
+let allocation_bounds =
+  (* structure, contains words/op, insert+delete cycle words *)
+  [
+    ("citrus", 0.0, 28.);
+    ("citrus-urcu", 0.0, 28.);
+    ("citrus-qsbr", 0.0, 28.);
+    ("cf-tree", 0.0, 14.);
+    ("skiplist", 1.0, 176.);
+    ("lock-free", 4.0, 88.);
+    ("bonsai", 5.0, 147.);
+    ("rcu-hash", 5.0, 31.);
+    ("coarse", 7.0, 90.);
+    ("lazy-list", 10.0, 60.);
+    ("red-black", 28.0, 55.);
+    ("ellen", 43.1, 153.);
+    ("avl", 101.0, 268.);
+  ]
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let allocation_row (module D : Repro_dict.Dict.DICT) =
+  let t = D.create () in
+  let h = D.register t in
+  let n = 1024 and calls = 16_384 and cycles = 10_000 in
+  let rng = Rng.create 7L in
+  for _ = 1 to 4 * n do
+    let k = 2 * Rng.int rng n in
+    ignore (D.insert h k k)
+  done;
+  let keys = Array.init calls (fun i -> (i * 7919) land ((2 * n) - 1)) in
+  let lookup k = ignore (D.contains h k) in
+  let contains =
+    minor_words_of (fun () -> Array.iter lookup keys) /. float_of_int calls
+  in
+  let cycle =
+    minor_words_of (fun () ->
+        for i = 1 to cycles do
+          let k = (2 * n) + 1 + (2 * (i land 63)) in
+          ignore (D.insert h k k);
+          ignore (D.delete h k)
+        done)
+    /. float_of_int cycles
+  in
+  D.unregister h;
+  D.shutdown t;
+  (contains, cycle)
+
+let test_allocation_table () =
+  let module San = Repro_sanitizer.Sanitizer in
+  let module Lockdep = Repro_lockdep.Lockdep in
+  let san = San.enabled () and lockdep = Lockdep.enabled () in
+  San.disarm ();
+  Lockdep.disarm ();
+  Fun.protect ~finally:(fun () ->
+      if san then San.arm ();
+      if lockdep then Lockdep.arm ())
+  @@ fun () ->
+  let failures =
+    List.filter_map
+      (fun (module D : Repro_dict.Dict.DICT) ->
+        let contains, cycle = allocation_row (module D) in
+        match
+          List.find_opt (fun (name, _, _) -> name = D.name) allocation_bounds
+        with
+        | None ->
+            Some
+              (Printf.sprintf "%s: no row (contains %.2f, cycle %.1f)" D.name
+                 contains cycle)
+        | Some (_, max_contains, max_cycle)
+          when contains > max_contains || cycle > max_cycle ->
+            Some
+              (Printf.sprintf
+                 "%s: contains %.2f words/op (bound %.1f), cycle %.1f words \
+                  (bound %.0f)"
+                 D.name contains max_contains cycle max_cycle)
+        | Some _ -> None)
+      Repro_dict.Dict.all
+  in
+  if failures <> [] then Alcotest.fail (String.concat "\n" failures)
+
 let test_find () =
   let module D = (val Repro_dict.Dict.find "citrus") in
   Alcotest.check Alcotest.string "lookup by name" "citrus" D.name;
@@ -329,6 +422,7 @@ let () =
         ( "registry",
           [
             Alcotest.test_case "find by name" `Quick test_find;
+            Alcotest.test_case "allocation table" `Quick test_allocation_table;
             Alcotest.test_case "paper set has six" `Quick (fun () ->
                 Alcotest.check Alcotest.int "six structures" 6
                   (List.length Repro_dict.Dict.paper_set));

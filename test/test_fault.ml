@@ -93,7 +93,6 @@ let catalogue =
     "epoch.advance";
     "defer.flush";
     "lock.spin.acquire";
-    "lock.ticket.acquire";
     "citrus.delete.window";
     "citrus.read.step";
     "torture.reader.hold";

@@ -6,7 +6,6 @@
 
 module Lockdep = Repro_lockdep.Lockdep
 module Spinlock = Repro_sync.Spinlock
-module Ticket_lock = Repro_sync.Ticket_lock
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Torture = Repro_rcu.Torture
@@ -121,16 +120,6 @@ let test_trylock_never_reports () =
       Spinlock.release a;
       Spinlock.release b;
       checki "no violations" 0 (Lockdep.violations ()))
-
-let test_ticket_release_not_held () =
-  with_lockdep (fun () ->
-      let l = Ticket_lock.create () in
-      ignore
-        (expect Lockdep.Release_not_held (fun () -> Ticket_lock.release l));
-      (* The refused release must not have corrupted the FIFO. *)
-      checkb "still free" false (Ticket_lock.is_locked l);
-      Ticket_lock.acquire l;
-      Ticket_lock.release l)
 
 (* --- RCU context rules --- *)
 
@@ -265,8 +254,8 @@ let test_trace_records_violation () =
   with_lockdep (fun () ->
       Trace.configure ~capacity:256;
       Trace.start ();
-      let l = Ticket_lock.create () in
-      (try Ticket_lock.release l with Lockdep.Violation _ -> ());
+      let l = Spinlock.create () in
+      (try Spinlock.release l with Lockdep.Violation _ -> ());
       Trace.stop ();
       let events = Trace.dump () in
       checkb "lockdep_violation event recorded" true
@@ -286,8 +275,6 @@ let () =
           Alcotest.test_case "recursive lock" `Quick test_recursive_lock;
           Alcotest.test_case "trylock never reports" `Quick
             test_trylock_never_reports;
-          Alcotest.test_case "release not held (ticket)" `Quick
-            test_ticket_release_not_held;
         ] );
       ( "rcu-context",
         [

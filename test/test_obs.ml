@@ -223,8 +223,7 @@ let test_report_roundtrip () =
   checkb "metrics captured" true (r.Runner.metrics <> []);
   checkb "latency captured" true (r.Runner.latency <> []);
   let doc =
-    Json_report.report
-      [ { Json_report.name = "test"; points = [ { Json_report.cfg; result = r } ] } ]
+    Json_report.report [ ("test", [ Json_report.point_json cfg r ]) ]
   in
   let parsed = Json.of_string (Json.to_string doc) in
   checkb "round-trips" true (json_equal doc parsed);

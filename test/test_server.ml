@@ -1060,18 +1060,8 @@ let test_serve_end_to_end () =
   checkb "metrics captured" true (r.Serve.metrics <> []);
   (* The JSON point must carry the schema-v1 latency fields per op, and
      the new retry/shutdown accounting. *)
-  let doc = Serve.report [ r ] in
+  let point = Serve.point_json r in
   let open Repro_obs.Json in
-  let point =
-    match
-      Option.bind (member "experiments" doc) to_list_opt |> Option.get
-    with
-    | [ e ] ->
-        (match Option.bind (member "points" e) to_list_opt with
-        | Some [ p ] -> p
-        | _ -> Alcotest.fail "expected one point")
-    | _ -> Alcotest.fail "expected one experiment"
-  in
   let lat = Option.get (member "latency_ns" point) in
   List.iter
     (fun op ->

@@ -95,70 +95,6 @@ let test_spinlock_mutual_exclusion () =
   List.iter Domain.join domains;
   checki "all increments preserved" (4 * iterations) !counter
 
-(* --- Ticket lock --- *)
-
-module Ticket_lock = Repro_sync.Ticket_lock
-
-let test_ticket_basic () =
-  let l = Ticket_lock.create () in
-  checkb "initially free" false (Ticket_lock.is_locked l);
-  Ticket_lock.acquire l;
-  checkb "locked" true (Ticket_lock.is_locked l);
-  checkb "try fails when held" false (Ticket_lock.try_acquire l);
-  Ticket_lock.release l;
-  checkb "free again" false (Ticket_lock.is_locked l);
-  checkb "try succeeds when free" true (Ticket_lock.try_acquire l);
-  Ticket_lock.release l;
-  Alcotest.check_raises "release unheld"
-    (Invalid_argument "Ticket_lock.release: lock was not held") (fun () ->
-      Ticket_lock.release l)
-
-let test_ticket_mutual_exclusion () =
-  let l = Ticket_lock.create () in
-  let counter = ref 0 in
-  let iterations = 10_000 in
-  let worker () =
-    for _ = 1 to iterations do
-      Ticket_lock.with_lock l (fun () -> counter := !counter + 1)
-    done
-  in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  checki "all increments preserved" (4 * iterations) !counter
-
-let test_ticket_with_lock_exception () =
-  let l = Ticket_lock.create () in
-  (try Ticket_lock.with_lock l (fun () -> failwith "boom")
-   with Failure _ -> ());
-  checkb "released after exception" false (Ticket_lock.is_locked l);
-  (* The FIFO must not have lost a slot: later acquisitions proceed. *)
-  Ticket_lock.with_lock l (fun () ->
-      checkb "re-lockable" true (Ticket_lock.is_locked l));
-  checkb "free again" false (Ticket_lock.is_locked l)
-
-let test_ticket_fifo_order () =
-  (* Threads arrive with generously staggered delays while the main thread
-     holds the lock; service must follow arrival order. *)
-  let l = Ticket_lock.create () in
-  let served = ref [] in
-  Ticket_lock.acquire l;
-  let n = 3 in
-  let domains =
-    List.init n (fun i ->
-        Domain.spawn (fun () ->
-            Unix.sleepf (0.06 *. float_of_int i);
-            Ticket_lock.acquire l;
-            served := i :: !served;
-            Ticket_lock.release l))
-  in
-  (* Release only after every arrival is queued. *)
-  Unix.sleepf (0.06 *. float_of_int n);
-  Ticket_lock.release l;
-  List.iter Domain.join domains;
-  Alcotest.check
-    Alcotest.(list int)
-    "FIFO service order" [ 0; 1; 2 ] (List.rev !served)
-
 (* --- Backoff --- *)
 
 let test_backoff_escalates () =
@@ -343,15 +279,6 @@ let () =
             test_spinlock_double_unlock_armed;
           Alcotest.test_case "foreign unlock (lockdep)" `Quick
             test_spinlock_foreign_unlock_armed;
-        ] );
-      ( "ticket_lock",
-        [
-          Alcotest.test_case "basic" `Quick test_ticket_basic;
-          Alcotest.test_case "with_lock exception" `Quick
-            test_ticket_with_lock_exception;
-          Alcotest.test_case "mutual exclusion" `Quick
-            test_ticket_mutual_exclusion;
-          Alcotest.test_case "FIFO order" `Quick test_ticket_fifo_order;
         ] );
       ( "backoff",
         [ Alcotest.test_case "escalates and resets" `Quick test_backoff_escalates ] );

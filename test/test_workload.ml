@@ -123,29 +123,6 @@ let test_run_single_writer () =
   checkb "reads dominate" true (r.contains_ops > 0);
   checkb "updates happened" true (r.insert_ops + r.delete_ops > 0)
 
-let test_run_sampled_timeline () =
-  let cfg =
-    W.config ~key_range:128 ~threads:2 ~duration:0.25 ~seed:9L
-      ~role:(W.Uniform W.contains_50) ()
-  in
-  let r =
-    Runner.run ~sample_interval:0.05
-      (module Repro_dict.Dict.Citrus_epoch)
-      cfg
-  in
-  checkb "collected samples" true (List.length r.samples >= 3);
-  List.iter
-    (fun (at, rate) ->
-      checkb "timestamps within run" true (at > 0.0 && at < 1.0);
-      checkb "rates non-negative" true (rate >= 0.0))
-    r.samples;
-  (* Timestamps strictly increase. *)
-  let rec increasing = function
-    | (a, _) :: ((b, _) :: _ as rest) -> a < b && increasing rest
-    | [ _ ] | [] -> true
-  in
-  checkb "timestamps ordered" true (increasing r.samples)
-
 (* A plain run samples latency for every op type and captures metrics.
    Each worker times its ops 0, 16, 32, ... and runs whole 64-op batches,
    so the sampled total is exactly bounded by the op count. *)
@@ -215,23 +192,6 @@ let test_report_rendering () =
   checkb "title present" true (contains_sub s "demo");
   checkb "throughput rendered" true (contains_sub s "2.00M");
   checkb "missing point dash" true (contains_sub s "-")
-
-let test_csv_rendering () =
-  let buf = Buffer.create 256 in
-  let out = Format.formatter_of_buffer buf in
-  Report.print_csv ~out ~title:"exp1" ~threads:[ 1; 2 ]
-    [ { Report.label = "citrus"; points = [ (1, 1000.0); (2, 2000.0) ] } ];
-  let lines = String.split_on_char '\n' (Buffer.contents buf) in
-  Alcotest.check
-    Alcotest.(list string)
-    "csv lines"
-    [
-      "experiment,structure,threads,ops_per_sec";
-      "exp1,citrus,1,1000";
-      "exp1,citrus,2,2000";
-      "";
-    ]
-    lines
 
 let test_si_formatting () =
   checks "millions" "2.50M" (Report.si 2.5e6);
@@ -382,15 +342,12 @@ let () =
           Alcotest.test_case "sampled latency and metrics" `Quick
             test_run_sampled_latency_and_metrics;
           Alcotest.test_case "averaging" `Quick test_run_avg;
-          Alcotest.test_case "sampled timeline" `Quick
-            test_run_sampled_timeline;
           Alcotest.test_case "every dictionary" `Quick
             test_run_every_dictionary_briefly;
         ] );
       ( "report",
         [
           Alcotest.test_case "rendering" `Quick test_report_rendering;
-          Alcotest.test_case "csv rendering" `Quick test_csv_rendering;
           Alcotest.test_case "si units" `Quick test_si_formatting;
         ] );
       ( "latency",
