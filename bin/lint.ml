@@ -6,8 +6,8 @@
 
    1. No [Mutex] / [Condition] (including through [Stdlib.]) outside
       lib/rcu/gp.ml: blocking primitives belong to the one audited wait
-      queue ([Gp.Waitq]); anywhere else they would hide from the lockdep
-      validator, which instruments [Spinlock]/[Gp.Waitq] only.
+      queue, private to that file; anywhere else they would hide from the
+      lockdep validator, which instruments [Spinlock] and that queue only.
    2. No [Obj.magic], anywhere: this repository proves its safety
       properties with runtime validators, and a single unsound cast
       voids all of them.
@@ -42,6 +42,10 @@
       (the one closed-loop timed loop) and open_loop.ml (the open-loop
       generator): a clock read anywhere else there is a second timed
       workload loop growing back.
+  10. [Stall.note] / [Stall.report] only in lib/rcu/gp.ml (the one
+      reader wait of the grace-period driver) and lib/rcu/stall.ml.
+      Anywhere else they mark a second reader-wait loop growing back;
+      wait through [Gp.wait_for_readers] or the gate instead.
 
    Exits 1 with file:line diagnostics on any violation, silently 0
    otherwise. *)
@@ -148,6 +152,20 @@ let check_clock ~file (lid : Longident.t Location.loc) =
          workload loop — time operations in Runner.run's sampled loop"
   | _ -> ()
 
+(* Rule 10: the files that may name a stall — the driver's one reader
+   wait and the watchdog itself. *)
+let stall_owners = [ "lib/rcu/gp.ml"; "lib/rcu/stall.ml" ]
+
+let check_stall ~file (lid : Longident.t Location.loc) =
+  match List.rev (Longident.flatten lid.txt) with
+  | (("note" | "report") as fn) :: "Stall" :: _
+    when not (List.exists (Filename.check_suffix file) stall_owners) ->
+      err ~file ~line:(line_of lid.loc)
+        "Stall.%s outside the grace-period driver: a second reader-wait \
+         loop — wait through Gp.wait_for_readers or the coalescing gate"
+        fn
+  | _ -> ()
+
 (* --- parsetree rules --- *)
 
 (* Module components of a dotted path: all but the final value/type name
@@ -163,8 +181,9 @@ let check_modules ~file ~all (lid : Longident.t Location.loc) =
     (fun m ->
       if List.mem m forbidden_modules && not (mutex_exempt file) then
         err ~file ~line:(line_of lid.loc)
-          "use of %s: blocking primitives are reserved for lib/rcu/gp.ml \
-           (Gp.Waitq); use Spinlock so lockdep sees the lock"
+          "use of %s: blocking primitives are reserved for the private \
+           wait queue in lib/rcu/gp.ml; use Spinlock so lockdep sees the \
+           lock"
           m;
       if m = "Random" && in_deterministic_dir file then
         err ~file ~line:(line_of lid.loc)
@@ -326,7 +345,8 @@ let check_file file =
               | Pexp_ident lid ->
                   check_modules ~file ~all:false lid;
                   check_retire ~file lid;
-                  check_clock ~file lid
+                  check_clock ~file lid;
+                  check_stall ~file lid
               | Pexp_new lid -> check_modules ~file ~all:false lid
               | Pexp_apply
                   ({ pexp_desc = Pexp_ident fn; pexp_loc; _ }, args) -> (

@@ -17,9 +17,10 @@ module CP = Repro_citrus.Citrus_proto
 
 let require = Engine.require
 
-(* CAS-max posting, the same monotonic rule as the flavours'
-   [post_completed]: concurrent scans finish out of order and an older
-   scan must never regress the number a newer one published. *)
+(* CAS-max posting, the same monotonic rule as the coalescing gate's
+   [post_completed] (lib/rcu/gp.ml): concurrent scans finish out of
+   order and an older scan must never regress the number a newer one
+   published. *)
 let rec post_max cell n =
   let cur = T.get cell in
   if cur < n then if not (T.compare_and_set cell cur n) then post_max cell n

@@ -1,5 +1,4 @@
 module Registry = Repro_sync.Registry
-module Backoff = Repro_sync.Backoff
 module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
@@ -12,27 +11,16 @@ type slot = int Atomic.t
    slot; [synchronize] only reads. *)
 
 type t = {
-  slots : slot Registry.t;
-  gps : int Atomic.t;
+  driver : Gp.t;
   (* Grace-period sequence (Linux gp_seq, split into two counters because
      scans here are lock-free and concurrent): [gp_started] numbers scans
-     as they begin, [gp_completed] is the highest scan number whose full
-     slot scan has finished. A scan numbered [n] took every slot snapshot
-     after the [n]th increment of [gp_started], so [gp_completed >= s]
-     proves a full grace period elapsed after any moment at which
-     [gp_started] was still [< s]. *)
+     as they begin, and the gate's completed number is the highest scan
+     whose full slot scan has finished. A scan numbered [n] took every
+     slot snapshot after the [n]th increment of [gp_started], so a
+     completed number [>= s] proves a full grace period elapsed after any
+     moment at which [gp_started] was still [< s]. *)
   gp_started : int Atomic.t;
-  gp_completed : int Atomic.t;
-  (* Number of scans currently in flight: the coalescing gate. A
-     synchronizer that finds a scan in flight waits for [gp_completed] to
-     pass its snapshot instead of scanning redundantly. *)
-  scanning : int Atomic.t;
-  (* Wait queue for piggybacking synchronizers: scanners broadcast after
-     every scan (and on the way out of an aborted one), waiters block
-     until woken instead of polling — the analogue of the kernel's RCU
-     wait queues. Polling here is not just wasteful: on few cores the
-     polls steal the CPU from the very scan being waited for. *)
-  waitq : Gp.Waitq.t;
+  gate : Gp.gate;
 }
 
 type thread = {
@@ -56,28 +44,35 @@ let name = "epoch-rcu"
    exercising the ABA-safety of the count-and-flag encoding. *)
 let fault_advance = Fault.register "epoch.advance"
 
+(* A slot blocks while the reader stays in the section it was in when the
+   scan first read the slot: flag set and word unchanged. The count only
+   grows, so "the word changed" is ABA-safe. *)
+let blocks ~target:_ ~first v =
+  Protocol.Epoch.slot_in_section first && v = first
+
 let create ?(max_threads = 128) () =
   {
-    slots =
-      Registry.create ~capacity:max_threads ~make:(fun _ ->
-          Repro_sync.Padding.spaced_atomic 0);
-    gps = Atomic.make 0;
+    driver =
+      (* busy: the in-section flag; nesting: the same flag; phase: the
+         section count the reader has been stuck inside. *)
+      Gp.create ~flavour:name ~max_threads ~busy:1 ~blocks
+        ~nesting:(fun v -> v land 1)
+        ~phase:Protocol.Epoch.slot_count;
     gp_started = Atomic.make 0;
-    gp_completed = Atomic.make 0;
-    scanning = Atomic.make 0;
-    waitq = Gp.Waitq.create ();
+    gate = Gp.gate ~covered:Protocol.Epoch.covered;
   }
 
 let register rcu =
-  let index = Registry.acquire rcu.slots in
-  let slot = Registry.get rcu.slots index in
+  let slots = Gp.slots rcu.driver in
+  let index = Registry.acquire slots in
+  let slot = Registry.get slots index in
   Atomic.set slot (Protocol.Epoch.slot_exit (Atomic.get slot));
   { rcu; index; slot; nesting = 0; entry_cookie = 0 }
 
 let unregister th =
   if th.nesting <> 0 then
     invalid_arg "Epoch_rcu.unregister: inside a read-side critical section";
-  Registry.release th.rcu.slots th.index
+  Registry.release (Gp.slots th.rcu.driver) th.index
 
 let read_lock th =
   if Lockdep.enabled () then Lockdep.rcu_read_enter ~slot:th.index;
@@ -113,163 +108,21 @@ let read_gp_seq rcu =
   Protocol.Epoch.snap ~gp_started:(Atomic.get rcu.gp_started)
 
 let poll rcu snap =
-  Protocol.Epoch.covered ~gp_completed:(Atomic.get rcu.gp_completed) ~snap
+  Protocol.Epoch.covered ~gp_completed:(Gp.completed rcu.gate) ~snap
 
-(* Monotonic-max post: concurrent scans finish out of order, and an older
-   scan must never regress the completed number a newer one published. *)
-let rec post_completed completed n =
-  let cur = Atomic.get completed in
-  if cur < n && not (Atomic.compare_and_set completed cur n) then
-    post_completed completed n
+(* A driven scan claims the next scan number. *)
+let claim rcu = Atomic.fetch_and_add rcu.gp_started 1 + 1
 
-(* One full grace-period scan, numbered [my]: snapshot every slot and, for
-   each slot whose in-section flag was set, wait until the word changes —
-   the reader either finished (flag cleared) or started a later section
-   (count increased; the count only grows, so "the word changed" is
-   ABA-safe). With coalescing on, the wait loops abort as soon as
-   [gp_completed] reaches [my]: a scan that started after ours already
-   finished, so every reader we could still be waiting for is known to
-   have left. Aborting posts nothing — the overtaking scan already did. *)
-let scan rcu t0 my =
-  let overtaken () =
-    Gp.coalescing ()
-    && Protocol.Epoch.covered
-         ~gp_completed:(Atomic.get rcu.gp_completed)
-         ~snap:my
-  in
-  let armed = Stall.armed () in
-  let thr = if armed then Stall.threshold_ns () else 0 in
-  let n = Registry.capacity rcu.slots in
-  let i = ref 0 in
-  let aborted = ref false in
-  while (not !aborted) && !i < n do
-    let slot = Registry.get rcu.slots !i in
-    let snapshot = Atomic.get slot in
-    if Protocol.Epoch.slot_in_section snapshot then begin
-      let b = Backoff.create () in
-      let deadline = ref (t0 + thr) in
-      while (not !aborted) && Atomic.get slot = snapshot do
-        if overtaken () then aborted := true
-        else begin
-          Backoff.once b;
-          if armed then begin
-            let now = Metrics.now_ns () in
-            if now > !deadline then begin
-              if Atomic.get slot = snapshot then
-                (* nesting: the in-section flag; phase: the section count
-                   the reader has been stuck inside. *)
-                Stall.note
-                  (Stall.report ~flavour:name ~slot:!i
-                     ~nesting:(snapshot land 1) ~phase:(snapshot lsr 1)
-                     ~elapsed_ns:(now - t0)
-                     ~grace_periods:(Atomic.get rcu.gps));
-              deadline := now + thr
-            end
-          end
-        end
-      done
-    end;
-    incr i
-  done;
-  if not !aborted then post_completed rcu.gp_completed my
-
-let synchronize rcu =
-  (* RCU rule 1 (lockdep-enforced): a grace-period wait inside a
-     read-side critical section can never return — the waiter is the
-     reader it waits for. *)
-  if Lockdep.enabled () then Lockdep.check_sync ();
-  let t0 = Metrics.now_ns () in
-  Trace.record Sync_start (Metrics.slot ());
+let drive rcu ~t0 =
   if Fault.enabled () then Fault.inject fault_advance;
   (* Snapshot before anything else: this call is satisfied exactly when a
      scan numbered >= [snap] completes, because such a scan took all its
      slot snapshots after this point and therefore waited out every reader
      already in a critical section here. *)
   let snap = Protocol.Epoch.snap ~gp_started:(Atomic.get rcu.gp_started) in
-  let coalesced = ref false in
-  let finished = ref false in
-  while not !finished do
-    if Gp.coalescing () && poll rcu snap then begin
-      (* A scan numbered >= [snap] already finished: someone else's grace
-         period covers this call entirely. *)
-      coalesced := true;
-      finished := true
-    end
-    else if (not (Gp.coalescing ())) || Atomic.get rcu.scanning = 0 then begin
-      (* No scan in flight that could cover us: drive one. Its number is
-         claimed after [snap], so one scan always suffices. *)
-      coalesced := false;
-      Atomic.incr rcu.scanning;
-      Fun.protect
-        ~finally:(fun () ->
-          (* Wake the piggybackers whether the scan completed, aborted as
-             overtaken, or raised ([Stall.Stalled] in fail mode) — they
-             re-check the completed number and the gate and either return
-             or take over the scanning themselves. *)
-          Atomic.decr rcu.scanning;
-          Gp.Waitq.broadcast rcu.waitq)
-        (fun () ->
-          (* Cede the CPU before claiming the scan number: synchronizers
-             just woken by the previous broadcast get to run, take their
-             snapshots while [gp_started] still reads one below this
-             scan's number, and enqueue — so the scan about to start
-             covers all of them. Without this, on oversubscribed cores
-             the first woken waiter grabs the scanner role and bumps
-             [gp_started] before the others run, pushing their snapshots
-             out by a whole extra grace period (the kernel's
-             cond_resched() before starting a new GP). A real sleep, not
-             sleepf 0.: only an actual deschedule lets them in. Skipped
-             when nobody is waiting. *)
-          if Gp.coalescing () && Gp.Waitq.waiters rcu.waitq > 0 then
-            Unix.sleepf 1e-9;
-          let my = Atomic.fetch_and_add rcu.gp_started 1 + 1 in
-          scan rcu t0 my);
-      finished := true
-    end
-    else begin
-      (* A concurrent synchronizer is scanning: piggyback on its scan
-         instead of re-walking the slots. The wait is adaptive, because
-         scan cost spans three orders of magnitude with registry size:
-         spin briefly (a small-registry scan is microseconds from
-         finishing), nap twice (a real deschedule hands the core to the
-         scanner), and only then block on the wait queue — a condvar
-         wakeup costs a scheduler latency, which dwarfs short scans but
-         is the only thing that doesn't steal CPU from long ones. If the
-         awaited scan turns out to be too old (numbered below [snap]) and
-         no other scan is in flight, the branch above takes over — the
-         fallback keeps this loop deadlock-free without any handshake
-         between synchronizers. [Gp.Waitq.wait] re-checks the block
-         predicate under its mutex so a completion between the gate
-         check and the wait cannot be missed (the scanner broadcasts
-         under the same mutex). *)
-      coalesced := true;
-      let covered () = poll rcu snap in
-      let spins = ref 0 in
-      while (not (covered ())) && Atomic.get rcu.scanning > 0 && !spins < 64 do
-        Domain.cpu_relax ();
-        incr spins
-      done;
-      let naps = ref 0 in
-      while (not (covered ())) && Atomic.get rcu.scanning > 0 && !naps < 2 do
-        Unix.sleepf 1e-9;
-        incr naps
-      done;
-      if (not (covered ())) && Atomic.get rcu.scanning > 0 && Gp.coalescing ()
-      then
-        Gp.Waitq.wait rcu.waitq ~block_if:(fun () ->
-            (not (covered ()))
-            && Atomic.get rcu.scanning > 0
-            && Gp.coalescing ())
-    end
-  done;
-  ignore (Atomic.fetch_and_add rcu.gps 1);
-  let dt = Metrics.now_ns () - t0 in
-  if Metrics.enabled () then begin
-    Stats.Timer.record Metrics.grace_period_ns (Metrics.slot ()) dt;
-    if !coalesced then Stats.incr Metrics.sync_coalesced (Metrics.slot ())
-  end;
-  if !coalesced then Trace.record Sync_coalesced (Metrics.slot ());
-  Trace.record Sync_end dt
+  Gp.coalesce rcu.driver rcu.gate ~t0 ~snap claim rcu
+
+let synchronize rcu = Gp.synchronize rcu.driver drive rcu
 
 let cond_synchronize rcu snap =
   (* Checked even on the elided path: the call is *allowed* to wait, so
@@ -278,7 +131,7 @@ let cond_synchronize rcu snap =
   if Lockdep.enabled () then Lockdep.check_sync ();
   if not (poll rcu snap) then synchronize rcu
 
-let grace_periods rcu = Atomic.get rcu.gps
+let grace_periods rcu = Gp.grace_periods rcu.driver
 let gp_cookie rcu = read_gp_seq rcu
 let reader_slot th = th.index
 let reader_cookie th = th.entry_cookie

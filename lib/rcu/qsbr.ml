@@ -1,5 +1,4 @@
 module Registry = Repro_sync.Registry
-module Backoff = Repro_sync.Backoff
 module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
@@ -14,21 +13,15 @@ module Lockdep = Repro_lockdep.Lockdep
 
 type t = {
   gp : int Atomic.t; (* odd, monotonically increasing; advances per scan *)
-  slots : int Atomic.t Registry.t;
-  gps : int Atomic.t;
-  (* [gp_completed] is the highest scan target fully waited for: some scan
-     with target [>= t] observed every online slot at or past its target.
-     Scan targets are unique (each scan advances [gp] by 2 and targets the
-     result), so [gp_completed >= gp_at_snapshot + 2] proves a scan whose
-     counter advance — and therefore whose slot checks — happened entirely
-     after the snapshot, i.e. a full grace period elapsed past it. *)
-  gp_completed : int Atomic.t;
-  (* Scans in flight: the coalescing gate (see Epoch_rcu for the shared
-     waiter/fallback structure). *)
-  scanning : int Atomic.t;
-  (* Wait queue for piggybacking synchronizers (see Epoch_rcu): scanners
-     broadcast after every scan, waiters block instead of polling. *)
-  waitq : Gp.Waitq.t;
+  driver : Gp.t;
+  (* The gate's completed number is the highest scan target fully waited
+     for: some scan with target [>= t] observed every online slot at or
+     past its target. Scan targets are unique (each scan advances [gp] by
+     2 and targets the result), so a completed number
+     [>= gp_at_snapshot + 2] proves a scan whose counter advance — and
+     therefore whose slot checks — happened entirely after the snapshot,
+     i.e. a full grace period elapsed past it. *)
+  gate : Gp.gate;
 }
 
 type thread = {
@@ -58,21 +51,25 @@ let fault_wait = Fault.register "qsbr.wait"
    section, QSBR's cardinal sin. *)
 let bug_quiescent_in_section = Fault.register "bug.qsbr.quiescent_in_section"
 
+let blocks ~target ~first:_ v = Protocol.Qsbr.blocks ~target v
+
 let create ?(max_threads = 128) () =
   {
     gp = Atomic.make 1;
-    slots =
-      Registry.create ~capacity:max_threads ~make:(fun _ ->
-          Repro_sync.Padding.spaced_atomic 0);
-    gps = Atomic.make 0;
-    gp_completed = Atomic.make 0;
-    scanning = Atomic.make 0;
-    waitq = Gp.Waitq.create ();
+    driver =
+      (* busy: only an offline slot (0) is known idle without the target;
+         nesting: 1 = online behind the target; phase: the grace-period
+         snapshot the reader is stuck at. *)
+      Gp.create ~flavour:name ~max_threads ~busy:(-1) ~blocks
+        ~nesting:(fun _ -> 1)
+        ~phase:Fun.id;
+    gate = Gp.gate ~covered:Protocol.Qsbr.covered;
   }
 
 let register rcu =
-  let index = Registry.acquire rcu.slots in
-  let slot = Registry.get rcu.slots index in
+  let slots = Gp.slots rcu.driver in
+  let index = Registry.acquire slots in
+  let slot = Registry.get slots index in
   Atomic.set slot 0;
   { rcu; index; slot; nesting = 0; entry_cookie = 0 }
 
@@ -80,7 +77,7 @@ let unregister th =
   if th.nesting <> 0 then
     invalid_arg "Qsbr.unregister: inside a read-side critical section";
   Atomic.set th.slot 0;
-  Registry.release th.rcu.slots th.index
+  Registry.release (Gp.slots th.rcu.driver) th.index
 
 let online th =
   if Atomic.get th.slot = 0 then Atomic.set th.slot (Atomic.get th.rcu.gp)
@@ -129,147 +126,30 @@ let read_unlock th =
 let read_gp_seq rcu = Protocol.Qsbr.snap ~gp:(Atomic.get rcu.gp)
 
 let poll rcu snap =
-  Protocol.Qsbr.covered ~gp_completed:(Atomic.get rcu.gp_completed) ~snap
+  Protocol.Qsbr.covered ~gp_completed:(Gp.completed rcu.gate) ~snap
 
-let rec post_completed completed n =
-  let cur = Atomic.get completed in
-  if cur < n && not (Atomic.compare_and_set completed cur n) then
-    post_completed completed n
-
-(* One scan: advance the grace period, then wait for each online thread to
-   catch up or go offline. Lock-free: concurrent scans wait for (at least)
-   their own target. With coalescing on, a scan overtaken by a later one
-   (a scan with a higher target posted [gp_completed] past ours, and its
-   counter advance followed ours) aborts its remaining slot waits. *)
-let scan rcu t0 =
+(* A driven scan advances the grace period and targets the result; the
+   reader wait then lets each online thread catch up or go offline. *)
+let claim rcu =
   let target = Atomic.fetch_and_add rcu.gp 2 + 2 in
   if Fault.enabled () then Fault.inject fault_wait;
-  let overtaken () =
-    Gp.coalescing ()
-    && Protocol.Qsbr.covered
-         ~gp_completed:(Atomic.get rcu.gp_completed)
-         ~snap:target
-  in
-  let armed = Stall.armed () in
-  let thr = if armed then Stall.threshold_ns () else 0 in
-  let n = Registry.capacity rcu.slots in
-  let i = ref 0 in
-  let aborted = ref false in
-  while (not !aborted) && !i < n do
-    let slot = Registry.get rcu.slots !i in
-    let b = Backoff.create () in
-    let deadline = ref (t0 + thr) in
-    let waiting = ref true in
-    while !waiting do
-      let v = Atomic.get slot in
-      if not (Protocol.Qsbr.blocks ~target v) then waiting := false
-      else if overtaken () then begin
-        aborted := true;
-        waiting := false
-      end
-      else begin
-        Backoff.once b;
-        if armed then begin
-          let now = Metrics.now_ns () in
-          if now > !deadline then begin
-            let v = Atomic.get slot in
-            if Protocol.Qsbr.blocks ~target v then
-              (* nesting: 1 = online behind the target; phase: the
-                 grace-period snapshot the reader is stuck at. *)
-              Stall.note
-                (Stall.report ~flavour:name ~slot:!i ~nesting:1 ~phase:v
-                   ~elapsed_ns:(now - t0)
-                   ~grace_periods:(Atomic.get rcu.gps));
-            deadline := now + thr
-          end
-        end
-      end
-    done;
-    incr i
-  done;
-  if not !aborted then post_completed rcu.gp_completed target
+  target
 
-let synchronize rcu =
-  (* RCU rule 1 (lockdep-enforced, see Epoch_rcu.synchronize). *)
-  if Lockdep.enabled () then Lockdep.check_sync ();
-  let t0 = Metrics.now_ns () in
-  Trace.record Sync_start (Metrics.slot ());
+let drive rcu ~t0 =
   (* Snapshot before anything else: satisfied once a scan targeting at
      least [gp + 2] completes — such a scan advanced the counter, and then
      checked every slot, after this point. *)
   let snap = Protocol.Qsbr.snap ~gp:(Atomic.get rcu.gp) in
-  let coalesced = ref false in
-  let finished = ref false in
-  while not !finished do
-    if Gp.coalescing () && poll rcu snap then begin
-      (* A scan targeting >= [snap] already finished: someone else's grace
-         period covers this call entirely. *)
-      coalesced := true;
-      finished := true
-    end
-    else if (not (Gp.coalescing ())) || Atomic.get rcu.scanning = 0 then begin
-      (* Drive a scan ourselves; its target is taken after [snap], so one
-         scan always suffices. *)
-      coalesced := false;
-      Atomic.incr rcu.scanning;
-      Fun.protect
-        ~finally:(fun () ->
-          (* Wake the piggybackers whether the scan completed, aborted as
-             overtaken, or raised — they re-check and either return or
-             take over the scanning themselves. *)
-          Atomic.decr rcu.scanning;
-          Gp.Waitq.broadcast rcu.waitq)
-        (fun () ->
-          (* Cede the CPU before the scan claims its target, so newly
-             woken synchronizers snapshot below it and the scan covers
-             them (see Epoch_rcu). *)
-          if Gp.coalescing () && Gp.Waitq.waiters rcu.waitq > 0 then
-            Unix.sleepf 1e-9;
-          scan rcu t0);
-      finished := true
-    end
-    else begin
-      (* Piggyback on the scan in flight, with the adaptive
-         spin/nap/block wait (see Epoch_rcu). If the finished scan proves
-         too old and nothing else is scanning, the branch above takes
-         over. [Gp.Waitq.wait] re-checks the block predicate under its
-         mutex so a completion between the gate check and the wait
-         cannot be missed. *)
-      coalesced := true;
-      let covered () = poll rcu snap in
-      let spins = ref 0 in
-      while (not (covered ())) && Atomic.get rcu.scanning > 0 && !spins < 64 do
-        Domain.cpu_relax ();
-        incr spins
-      done;
-      let naps = ref 0 in
-      while (not (covered ())) && Atomic.get rcu.scanning > 0 && !naps < 2 do
-        Unix.sleepf 1e-9;
-        incr naps
-      done;
-      if (not (covered ())) && Atomic.get rcu.scanning > 0 && Gp.coalescing ()
-      then
-        Gp.Waitq.wait rcu.waitq ~block_if:(fun () ->
-            (not (covered ()))
-            && Atomic.get rcu.scanning > 0
-            && Gp.coalescing ())
-    end
-  done;
-  ignore (Atomic.fetch_and_add rcu.gps 1);
-  let dt = Metrics.now_ns () - t0 in
-  if Metrics.enabled () then begin
-    Stats.Timer.record Metrics.grace_period_ns (Metrics.slot ()) dt;
-    if !coalesced then Stats.incr Metrics.sync_coalesced (Metrics.slot ())
-  end;
-  if !coalesced then Trace.record Sync_coalesced (Metrics.slot ());
-  Trace.record Sync_end dt
+  Gp.coalesce rcu.driver rcu.gate ~t0 ~snap claim rcu
+
+let synchronize rcu = Gp.synchronize rcu.driver drive rcu
 
 let cond_synchronize rcu snap =
   (* Checked even on the elided path (see Epoch_rcu.cond_synchronize). *)
   if Lockdep.enabled () then Lockdep.check_sync ();
   if not (poll rcu snap) then synchronize rcu
 
-let grace_periods rcu = Atomic.get rcu.gps
+let grace_periods rcu = Gp.grace_periods rcu.driver
 let gp_cookie rcu = read_gp_seq rcu
 let reader_slot th = th.index
 let reader_cookie th = th.entry_cookie

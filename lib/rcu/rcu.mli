@@ -23,9 +23,9 @@ module Stall : module type of Stall
     report shape, handler). See {!Stall}. *)
 
 module Gp : module type of Gp
-(** The process-global grace-period coalescing switch shared by all
-    flavours (on by default; benchmarks flip it to measure the
-    uncoalesced baseline). See {!Gp}. *)
+(** The grace-period driver shared by all flavours, and its
+    process-global coalescing switch (on by default; benchmarks flip it
+    to measure the uncoalesced baseline). See {!Gp}. *)
 
 module Reclaimer : module type of Reclaimer
 (** call_rcu: per-producer epoch-tagged retired bags drained by a

@@ -17,9 +17,9 @@ type report = {
 exception Stalled of report
 
 (* Watchdog configuration. [armed] is the only state read on an un-stalled
-   grace period: each synchronize checks it once and takes the exact
-   pre-watchdog wait loop when false, so benches with the watchdog off run
-   the unchanged hot path. *)
+   grace period: each reader wait reads it once into a local, and with
+   it false a blocked slot's backoff step skips the deadline check, so
+   benches with the watchdog off read no clock in the wait. *)
 let armed_flag = Atomic.make false
 let threshold = Atomic.make 0 (* ns; meaningful only while armed *)
 let fail_mode = Atomic.make false

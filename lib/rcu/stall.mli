@@ -4,9 +4,10 @@
     [synchronize] only terminates if every pre-existing reader leaves its
     read-side critical section — one stuck reader stalls every updater,
     and without a watchdog that is an undiagnosable hang. When armed, the
-    wait loops of all three RCU flavours check elapsed time against a
-    threshold and, on exceeding it, emit a structured {!report} naming the
-    blocking reader slot: through the configured {!set_handler} callback
+    one reader wait of the grace-period driver ({!Gp}, shared by all
+    three RCU flavours) checks elapsed time against a threshold and, on
+    exceeding it, emits a structured {!report} naming the blocking reader
+    slot: through the configured {!set_handler} callback
     (default: stderr), a [Stall] event in [Repro_sync.Trace], and the
     [rcu_stalls] metric in [Repro_sync.Metrics].
 
@@ -16,9 +17,10 @@
     [synchronize] provides {e no} grace-period guarantee — callers must
     treat the update as incomplete (rcutorture's writers stop the run).
 
-    Disarmed (the default, and the benchmark configuration), the only cost
-    is one atomic load and a branch per [synchronize]: the wait loops are
-    the exact pre-watchdog code. Arm from code ({!arm}), the CLI
+    Disarmed (the default, and the benchmark configuration), the cost is
+    one atomic load per reader wait, read once into a local: the wait is
+    one loop, with one branch on that local per backoff step of a slot
+    that blocks. Arm from code ({!arm}), the CLI
     ([citrus_tool torture --stall-ms N]) or the environment
     ([REPRO_STALL_MS=N], [REPRO_STALL_MODE=warn|fail]).
 

@@ -1,5 +1,4 @@
 module Registry = Repro_sync.Registry
-module Backoff = Repro_sync.Backoff
 module Spinlock = Repro_sync.Spinlock
 module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
@@ -18,9 +17,8 @@ let phase_bit = Protocol.Urcu.phase_bit
 
 type t = {
   gp_ctr : int Atomic.t; (* phase bit only; low bits unused globally *)
-  slots : int Atomic.t Registry.t;
+  driver : Gp.t;
   gp_lock : Spinlock.t;
-  gps : int Atomic.t;
   (* Grace-period sequence, Linux gp_seq encoding in one word:
      [(completed lsl 1) lor in_progress]. Only the gp_lock holder writes
      it; transitions are idle(k) -> in-progress(k) -> idle(k+1), so the
@@ -65,20 +63,26 @@ let bug_single_flip = Fault.register "bug.urcu.single_flip"
    the instance. *)
 let gp_lock_cls = Lockdep.new_class Lockdep.Gp "urcu/gp_lock"
 
+(* A reader blocks the current phase if it is inside a critical section it
+   entered before the latest phase flip. *)
+let blocks ~target ~first:_ v = Protocol.Urcu.ongoing ~gp_phase:target v
+
 let create ?(max_threads = 128) () =
   {
     gp_ctr = Atomic.make 0;
-    slots =
-      Registry.create ~capacity:max_threads ~make:(fun _ ->
-          Repro_sync.Padding.spaced_atomic 0);
+    driver =
+      (* busy: a reader with nesting 0 is outside any section. *)
+      Gp.create ~flavour:name ~max_threads ~busy:nest_mask ~blocks
+        ~nesting:Protocol.Urcu.nesting
+        ~phase:(fun v -> (v land phase_bit) lsr 16);
     gp_lock = Spinlock.create ~cls:gp_lock_cls ();
-    gps = Atomic.make 0;
     gp_seq = Atomic.make 0;
   }
 
 let register rcu =
-  let index = Registry.acquire rcu.slots in
-  let slot = Registry.get rcu.slots index in
+  let slots = Gp.slots rcu.driver in
+  let index = Registry.acquire slots in
+  let slot = Registry.get slots index in
   Atomic.set slot 0;
   { rcu; index; slot; entry_cookie = 0 }
 
@@ -87,7 +91,7 @@ let read_depth th = Atomic.get th.slot land nest_mask
 let unregister th =
   if read_depth th <> 0 then
     invalid_arg "Urcu.unregister: inside a read-side critical section";
-  Registry.release th.rcu.slots th.index
+  Registry.release (Gp.slots th.rcu.driver) th.index
 
 (* Defined before [read_lock] so the sanitizer entry cookie can reuse it.
    A snapshot is satisfied once the completed count reaches it. If a grace
@@ -123,55 +127,16 @@ let read_unlock th =
   Atomic.set th.slot (v - 1);
   if (v - 1) land nest_mask = 0 then Trace.record Read_exit th.index
 
-(* A reader blocks the current phase if it is inside a critical section it
-   entered before the latest phase flip. *)
-let ongoing gp_phase v = Protocol.Urcu.ongoing ~gp_phase v
-
 let wait_for_readers rcu t0 =
-  let gp_phase = Atomic.get rcu.gp_ctr in
-  if not (Stall.armed ()) then
-    (* Watchdog off (the default): the exact pre-watchdog wait loop. *)
-    Registry.iter
-      (fun slot ->
-        let b = Backoff.create () in
-        while ongoing gp_phase (Atomic.get slot) do
-          Backoff.once b
-        done)
-      rcu.slots
-  else begin
-    let thr = Stall.threshold_ns () in
-    Registry.iteri
-      (fun i slot ->
-        let b = Backoff.create () in
-        let deadline = ref (t0 + thr) in
-        while ongoing gp_phase (Atomic.get slot) do
-          Backoff.once b;
-          let now = Metrics.now_ns () in
-          if now > !deadline then begin
-            let v = Atomic.get slot in
-            if ongoing gp_phase v then
-              Stall.note
-                (Stall.report ~flavour:name ~slot:i ~nesting:(v land nest_mask)
-                   ~phase:((v land phase_bit) lsr 16)
-                   ~elapsed_ns:(now - t0)
-                   ~grace_periods:(Atomic.get rcu.gps));
-            (* One report per threshold window (warn mode keeps waiting). *)
-            deadline := now + thr
-          end
-        done)
-      rcu.slots
-  end
+  Gp.wait_for_readers rcu.driver ~t0 ~target:(Atomic.get rcu.gp_ctr)
 
-let synchronize rcu =
-  (* The grace-period timer starts before the gp_lock acquisition: queueing
-     on that global lock is precisely the updater serialization Figure 8
-     measures, so it counts as grace-period time. The lock's own wait also
-     lands in lock_wait_ns via the instrumented spinlock. *)
-  (* RCU rule 1 (lockdep-enforced, see Epoch_rcu.synchronize) — checked
-     before queueing on the gp_lock, which a reader could block forever. *)
-  if Lockdep.enabled () then Lockdep.check_sync ();
-  let t0 = Metrics.now_ns () in
-  Trace.record Sync_start (Metrics.slot ());
+(* The grace-period timer (the frame's [t0]) starts before the gp_lock
+   acquisition: queueing on that global lock is precisely the updater
+   serialization Figure 8 measures, so it counts as grace-period time. The
+   lock's own wait also lands in lock_wait_ns via the instrumented
+   spinlock. The frame's lockdep check runs before queueing on the
+   gp_lock, which a reader could block forever. *)
+let drive rcu ~t0 =
   let snap = read_gp_seq rcu in
   Spinlock.acquire rcu.gp_lock;
   (* Re-check after the lock queue: every grace period that completed while
@@ -206,22 +171,17 @@ let synchronize rcu =
        raise e);
     Atomic.set rcu.gp_seq (Protocol.Urcu.seq_idle ~completed:(completed + 1))
   end;
-  ignore (Atomic.fetch_and_add rcu.gps 1);
   Spinlock.release rcu.gp_lock;
-  let dt = Metrics.now_ns () - t0 in
-  if Metrics.enabled () then begin
-    Stats.Timer.record Metrics.grace_period_ns (Metrics.slot ()) dt;
-    if coalesced then Stats.incr Metrics.sync_coalesced (Metrics.slot ())
-  end;
-  if coalesced then Trace.record Sync_coalesced (Metrics.slot ());
-  Trace.record Sync_end dt
+  coalesced
+
+let synchronize rcu = Gp.synchronize rcu.driver drive rcu
 
 let cond_synchronize rcu snap =
   (* Checked even on the elided path (see Epoch_rcu.cond_synchronize). *)
   if Lockdep.enabled () then Lockdep.check_sync ();
   if not (poll rcu snap) then synchronize rcu
 
-let grace_periods rcu = Atomic.get rcu.gps
+let grace_periods rcu = Gp.grace_periods rcu.driver
 let gp_cookie rcu = read_gp_seq rcu
 let reader_slot th = th.index
 let reader_cookie th = th.entry_cookie

@@ -30,11 +30,12 @@ module Spinlock = Repro_sync.Spinlock
 module Lockdep = Repro_lockdep.Lockdep
 
 (* The deferred-table guard is an instrumented spinlock (not a raw
-   Stdlib.Mutex, which the @lint rule reserves for [Gp.Waitq]): its
-   critical sections are a few hashtable operations, and going through
-   [Spinlock] puts the sanitizer's own locking under the lockdep
-   validator like every other lock in the repository. One Registry-role
-   class covers every sanitizer domain's table. *)
+   Stdlib.Mutex, which the @lint rule reserves for the wait queue private
+   to lib/rcu/gp.ml): its critical sections are a few hashtable
+   operations, and going through [Spinlock] puts the sanitizer's own
+   locking under the lockdep validator like every other lock in the
+   repository. One Registry-role class covers every sanitizer domain's
+   table. *)
 let table_cls = Lockdep.new_class Lockdep.Registry "sanitizer/deferred-table"
 
 type kind = Use_after_reclaim | Double_free | Leaked_deferral

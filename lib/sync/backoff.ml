@@ -10,9 +10,10 @@ let reset t =
   t.level <- 0;
   t.count <- 0
 
-(* Three regimes: busy pauses, timeslice yields, then short sleeps whose
+(* Three regimes: busy pauses, zero-length sleeps, then short sleeps whose
    duration grows with the level (capped at ~1ms so grace-period waits stay
-   responsive). *)
+   responsive). A zero-length sleep is not a bare yield: on Linux it lasts
+   the timer slack, 50 µs by default. *)
 let once t =
   t.count <- t.count + 1;
   let level = t.level in

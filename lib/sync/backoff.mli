@@ -3,8 +3,10 @@
     On this reproduction's single-core container a spinning domain can starve
     the domain it is waiting for, so every spin loop in the repository must go
     through this module: it starts with cheap [Domain.cpu_relax] pauses and
-    escalates to yielding the OS timeslice ([Unix.sleepf 0.]) and finally to
-    short sleeps. *)
+    escalates to [Unix.sleepf 0.] and finally to short sleeps. [sleepf 0.]
+    is not a bare timeslice yield: on Linux it sleeps out the thread's
+    timer slack (50 µs by default; 58 µs measured on the 2-vCPU reference
+    machine, ROADMAP.md). *)
 
 type t
 

@@ -38,6 +38,3 @@ let capacity t = Array.length t.payloads
 
 let active t =
   Array.fold_left (fun acc a -> if Atomic.get a then acc + 1 else acc) 0 t.in_use
-
-let iter f t = Array.iter f t.payloads
-let iteri f t = Array.iteri f t.payloads

@@ -29,11 +29,3 @@ val capacity : 'a t -> int
 
 val active : 'a t -> int
 (** Number of currently-held slots (racy snapshot; for stats/tests). *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Iterate over all payloads, held or not. RCU grace-period detection
-    iterates over every slot; idle slots must encode a quiescent state. *)
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-(** [iter] with the slot index — the stall watchdog names the blocking
-    slot in its reports. *)

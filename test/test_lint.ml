@@ -22,6 +22,7 @@ let expected =
     ("outside the reclaimer", "lint_fixtures/bad_retire.ml");
     ("seeded-bug switch", "lint_fixtures/bad_bug_switch.ml");
     ("second timed", "lint_fixtures/lib/workload/bad_timed_loop.ml");
+    ("second reader-wait", "lint_fixtures/lib/rcu/bad_wait_loop.ml");
   ]
 
 let contains_sub s sub =

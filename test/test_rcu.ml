@@ -253,36 +253,74 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
   (* The coalescing fast paths must not weaken the synchronize guarantee:
      several domains synchronizing at once (so most of them piggyback on
      a shared grace period) must all still wait out a pre-existing
-     reader. *)
+     reader. Run with coalescing on and off: off, every call drives its
+     own scan, the path `bench gp` measures as the baseline. *)
   let test_coalesced_synchronize_keeps_guarantee () =
-    let n = 4 in
-    let r = R.create () in
-    let ready = Barrier.create (n + 1) in
-    let reader_done = Atomic.make false in
-    let early = Atomic.make 0 in
-    let reader =
-      Domain.spawn (fun () ->
-          let th = R.register r in
-          R.read_lock th;
-          Barrier.wait ready;
-          Unix.sleepf 0.05;
-          Atomic.set reader_done true;
-          R.read_unlock th;
-          R.unregister th)
+    let keeps_guarantee coalescing =
+      Repro_rcu.Rcu.Gp.set_coalescing coalescing;
+      let n = 4 in
+      let r = R.create () in
+      let ready = Barrier.create (n + 1) in
+      let reader_done = Atomic.make false in
+      let early = Atomic.make 0 in
+      let reader =
+        Domain.spawn (fun () ->
+            let th = R.register r in
+            R.read_lock th;
+            Barrier.wait ready;
+            Unix.sleepf 0.05;
+            Atomic.set reader_done true;
+            R.read_unlock th;
+            R.unregister th)
+      in
+      let syncers =
+        List.init n (fun _ ->
+            Domain.spawn (fun () ->
+                Barrier.wait ready;
+                for _ = 1 to 20 do
+                  R.synchronize r;
+                  if not (Atomic.get reader_done) then Atomic.incr early
+                done))
+      in
+      List.iter Domain.join syncers;
+      Domain.join reader;
+      checki
+        (Printf.sprintf
+           "no synchronize returned before the pre-existing reader \
+            (coalescing %b)"
+           coalescing)
+        0 (Atomic.get early)
     in
-    let syncers =
-      List.init n (fun _ ->
-          Domain.spawn (fun () ->
-              Barrier.wait ready;
-              for _ = 1 to 20 do
-                R.synchronize r;
-                if not (Atomic.get reader_done) then Atomic.incr early
-              done))
+    Fun.protect
+      ~finally:(fun () -> Repro_rcu.Rcu.Gp.set_coalescing true)
+      (fun () -> List.iter keeps_guarantee [ true; false ])
+
+  (* An uncontended synchronize allocates the same few words however wide
+     the slot registry is: idle slots cost a load, not a backoff state.
+     The 13-word ceiling catches a new per-call allocation without
+     pinning the exact count. *)
+  let test_synchronize_allocation_flat () =
+    let words_per_sync max_threads =
+      let r = R.create ~max_threads () in
+      let th = R.register r in
+      for _ = 1 to 20 do
+        R.synchronize r
+      done;
+      let n = 200 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        R.synchronize r
+      done;
+      let w = Gc.minor_words () -. w0 in
+      R.unregister th;
+      Float.to_int (Float.round (w /. float_of_int n))
     in
-    List.iter Domain.join syncers;
-    Domain.join reader;
-    checki "no synchronize returned before the pre-existing reader" 0
-      (Atomic.get early)
+    let small = words_per_sync 128 in
+    let wide = words_per_sync 4096 in
+    checki "same words at 128 and 4096 slots" small wide;
+    checkb
+      (Printf.sprintf "at most 13 words per synchronize (got %d)" small)
+      true (small <= 13)
 
   let suite name =
     ( name,
@@ -307,6 +345,8 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
           test_cond_synchronize_elided;
         Alcotest.test_case "coalesced synchronize keeps guarantee" `Quick
           test_coalesced_synchronize_keeps_guarantee;
+        Alcotest.test_case "synchronize allocation flat in slots" `Quick
+          test_synchronize_allocation_flat;
       ] )
 end
 
