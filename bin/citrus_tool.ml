@@ -16,6 +16,7 @@ module Dict = Repro_dict.Dict
 module Checker = Repro_linchecker.Checker
 module Lin_harness = Repro_linchecker.Lin_harness
 module Fault = Repro_fault.Fault
+module Arm = Repro_fault.Arm
 module Torture = Repro_rcu.Torture
 module Serve = Repro_server.Serve
 module Chaos = Repro_server.Chaos
@@ -157,17 +158,16 @@ let stats name threads duration keys contains_pct trace_events json_file =
   let cfg =
     W.config ~key_range:keys ~threads ~duration ~role:(W.Uniform mix) ()
   in
-  if trace_events > 0 then begin
+  if trace_events > 0 then
     Repro_sync.Trace.configure ~capacity:(max 1024 trace_events);
-    Repro_sync.Trace.start ()
-  end;
   Printf.printf "observing %s: %d threads, %.1fs, keys [0,%d), %s\n%!" D.name
     threads duration keys
     (Format.asprintf "%a" W.pp_mix mix);
   let r =
-    registry_guard threads (fun () -> Runner.run (module D) cfg)
+    Arm.with_
+      (if trace_events > 0 then Arm.trace else 0)
+      (fun () -> registry_guard threads (fun () -> Runner.run (module D) cfg))
   in
-  Repro_sync.Trace.stop ();
   Report.print_result r;
   Format.printf "@.serialization metrics (catalogue: OBSERVABILITY.md):@.";
   List.iter
@@ -208,6 +208,16 @@ let stats name threads duration keys contains_pct trace_events json_file =
       Json_report.write file
         (Json_report.report ~meta
            [ ("stats: " ^ D.name, [ Json_report.point_json cfg r ]) ])
+
+(* Run [f] with the --sanitize/--lockdep bits added to the arming word,
+   telling it which validators the word then arms — the environment's
+   included, so headers report what is armed, not only what was asked. *)
+let with_validators ~sanitize ~lockdep f =
+  Arm.with_
+    ((if sanitize then Arm.sanitizer else 0) lor if lockdep then Arm.lockdep else 0)
+    (fun () ->
+      f ~sanitize:(Repro_sanitizer.Sanitizer.enabled ())
+        ~lockdep:(Repro_lockdep.Lockdep.enabled ()))
 
 (* Open-loop serving demo: stand up the sharded service over one
    structure, offer a fixed load, report per-op latency percentiles and
@@ -338,6 +348,7 @@ let chaos name shards clients queue_depth drain_batch rate duration keys
       Printf.eprintf "bad chaos configuration: %s\n" msg;
       exit 2
   in
+  with_validators ~sanitize ~lockdep @@ fun ~sanitize ~lockdep ->
   Printf.printf
     "chaos on %s: %d shards, %d clients, %.0f ops/s for %.1fs, %d forced \
      crash(es) per shard, stall rate %g, stall-reader=%b, sanitize=%b \
@@ -345,16 +356,9 @@ let chaos name shards clients queue_depth drain_batch rate duration keys
      %!"
     D.name shards clients c.Chaos.rate c.Chaos.duration c.Chaos.crashes_per_shard
     stall_rate stall_reader sanitize lockdep call_rcu;
-  if sanitize then Repro_sanitizer.Sanitizer.arm ();
-  if lockdep then Repro_lockdep.Lockdep.arm ();
   let r =
-    Fun.protect
-      ~finally:(fun () ->
-        if lockdep then Repro_lockdep.Lockdep.disarm ();
-        if sanitize then Repro_sanitizer.Sanitizer.disarm ())
-      (fun () ->
-        with_call_rcu call_rcu (fun () ->
-            registry_guard (clients + 2) (fun () -> Chaos.run (module D) c)))
+    with_call_rcu call_rcu (fun () ->
+        registry_guard (clients + 2) (fun () -> Chaos.run (module D) c))
   in
   let validator_failures =
     (if sanitize && Repro_sanitizer.Sanitizer.violations () > 0 then
@@ -448,6 +452,7 @@ let torture flavour seed fault_specs stall_ms stall_mode readers writers
         exit 2
   in
   let updates = if quick then min updates 100 else updates in
+  with_validators ~sanitize ~lockdep @@ fun ~sanitize ~lockdep ->
   let cfg =
     {
       Torture.default with
@@ -948,14 +953,15 @@ let chaos_cmd =
       & info [ "sanitize" ]
           ~doc:
             "Arm the reclamation sanitizer for the run; any violation \
-             fails it.")
+             fails it. REPRO_SANITIZE=1 has the same effect.")
   in
   let lockdep =
     Arg.(
       value & flag
       & info [ "lockdep" ]
           ~doc:
-            "Arm the lockdep validator for the run; any violation fails it.")
+            "Arm the lockdep validator for the run; any violation fails it. \
+             REPRO_LOCKDEP=1 has the same effect.")
   in
   let call_rcu =
     Arg.(
@@ -1088,7 +1094,8 @@ let torture_cmd =
           ~doc:
             "Arm the reclamation sanitizer: every element carries a shadow \
              record and readers check it on each touch; violations or \
-             leaked deferrals fail the run (see ROBUSTNESS.md).")
+             leaked deferrals fail the run (see ROBUSTNESS.md). \
+             REPRO_SANITIZE=1 has the same effect.")
   in
   let lockdep =
     Arg.(
@@ -1097,7 +1104,8 @@ let torture_cmd =
           ~doc:
             "Arm the lockdep validator: every lock acquisition/release and \
              read-side entry/exit is checked against the locking protocol; \
-             any violation fails the run (see CORRECTNESS.md).")
+             any violation fails the run (see CORRECTNESS.md). \
+             REPRO_LOCKDEP=1 has the same effect.")
   in
   let quick =
     Arg.(

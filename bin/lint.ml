@@ -46,6 +46,11 @@
       reader wait of the grace-period driver) and lib/rcu/stall.ml.
       Anywhere else they mark a second reader-wait loop growing back;
       wait through [Gp.wait_for_readers] or the gate instead.
+  11. No second arming flag: no [Metrics.enabled] call (metrics are
+      unconditional), and no [enabled ()] that returns [Atomic.get] of
+      a flag — the getter of a debug layer's private on/off switch. Lockdep, the sanitizer, trace
+      and fault points each own one bit of the one arming word,
+      [Repro_fault.Arm], which hot sites load once.
 
    Exits 1 with file:line diagnostics on any violation, silently 0
    otherwise. *)
@@ -164,6 +169,32 @@ let check_stall ~file (lid : Longident.t Location.loc) =
         "Stall.%s outside the grace-period driver: a second reader-wait \
          loop — wait through Gp.wait_for_readers or the coalescing gate"
         fn
+  | _ -> ()
+
+(* Rule 11: a second arming flag. *)
+let check_metrics_enabled ~file (lid : Longident.t Location.loc) =
+  match List.rev (Longident.flatten lid.txt) with
+  | "enabled" :: "Metrics" :: _ ->
+      err ~file ~line:(line_of lid.loc)
+        "Metrics.enabled: a second arming flag — metrics are unconditional, \
+         record without asking"
+  | _ -> ()
+
+let is_atomic_get (e : expression) =
+  match e.pexp_desc with
+  | Pexp_ident { txt = Ldot (Lident "Atomic", "get"); _ } -> true
+  | _ -> false
+
+(* A [let enabled () = Atomic.get flag]: the getter of a layer's private
+   switch. *)
+let check_arming_flag ~file (vb : value_binding) =
+  match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
+  | ( Ppat_var { txt = "enabled"; _ },
+      Pexp_fun (_, _, _, { pexp_desc = Pexp_apply (fn, _); _ }) )
+    when is_atomic_get fn ->
+      err ~file ~line:(line_of vb.pvb_loc)
+        "enabled reads a flag of its own: a second arming flag — give the \
+         layer a bit of Repro_fault.Arm's word instead"
   | _ -> ()
 
 (* --- parsetree rules --- *)
@@ -346,7 +377,8 @@ let check_file file =
                   check_modules ~file ~all:false lid;
                   check_retire ~file lid;
                   check_clock ~file lid;
-                  check_stall ~file lid
+                  check_stall ~file lid;
+                  check_metrics_enabled ~file lid
               | Pexp_new lid -> check_modules ~file ~all:false lid
               | Pexp_apply
                   ({ pexp_desc = Pexp_ident fn; pexp_loc; _ }, args) -> (
@@ -390,6 +422,10 @@ let check_file file =
               check_bug_module ~file ~line:(line_of md.pmd_name.loc)
                 md.pmd_name.txt;
               Ast_iterator.default_iterator.module_declaration it md);
+          value_binding =
+            (fun it vb ->
+              check_arming_flag ~file vb;
+              Ast_iterator.default_iterator.value_binding it vb);
           module_expr =
             (fun it m ->
               (match m.pmod_desc with

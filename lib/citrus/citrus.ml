@@ -5,6 +5,7 @@ module Trace = Repro_sync.Trace
 module Fault = Repro_fault.Fault
 module San = Repro_sanitizer.Sanitizer
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 
 (* The delete-with-two-children window (paper, Section 4): between
    publishing the successor copy and unlinking the original, readers can
@@ -106,12 +107,12 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   type 'v t = {
     root : 'v node; (* the Sentinel *)
     rcu : R.t;
-    armed : bool;
+    retires : bool;
         (* The sanitizer was armed at [create]: unlinked nodes are retired
            through [reclaimer] with shadow records, and the successor walk
            runs inside a read-side critical section. *)
     reclaimer : Rec.t option;
-        (* Some iff [armed] or call_rcu. A call_rcu tree's reclaimer has a
+        (* Some iff [retires] or call_rcu. A call_rcu tree's reclaimer has a
            background domain, to which two-child deletes hand their
            grace-period-then-unlink continuation instead of blocking
            inline; otherwise each handle drains its own bag inline. *)
@@ -196,12 +197,12 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         }
     in
     let rcu = R.create ?max_threads () in
-    let armed = San.enabled () in
+    let retires = San.enabled () in
     (* The reclaimer is per tree instance (at most one background domain
        per [R.t]); [shutdown] stops and joins it. *)
     let reclaimer =
       if call_rcu then Some (Rec.create rcu)
-      else if armed then Some (Rec.create ~background:false rcu)
+      else if retires then Some (Rec.create ~background:false rcu)
       else None
     in
     let self_bag =
@@ -219,7 +220,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     {
       root;
       rcu;
-      armed;
+      retires;
       reclaimer;
       self_bag;
       san = San.create ("citrus/" ^ R.name);
@@ -283,7 +284,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let retire h node =
     let t = h.tree in
     match (t.reclaimer, h.bag) with
-    | Some rc, Some bag when t.armed -> retire_into t rc bag h.id node
+    | Some rc, Some bag when t.retires -> retire_into t rc bag h.id node
     | _ -> ()
 
   (* Restarts are double-booked: in the tree's own stats group (per-tree
@@ -291,7 +292,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      JSON reports). *)
   let note_restart t h =
     Stats.incr t.restarts h.id;
-    if Metrics.enabled () then Stats.incr Metrics.restarts h.id;
+    Stats.incr Metrics.restarts h.id;
     Trace.record Restart h.id;
     t.hooks.on_restart ()
 
@@ -301,8 +302,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      [san_note] records without raising (the successor walk runs while
      delete holds node locks a raise would leak), [san_observe] counts the
      touch only (post-lock validation, where reaching a retired node is
-     legal — validate is specified to return false on it). All are no-ops
-     unless the sanitizer is armed. *)
+     legal — validate is specified to return false on it). Callers test
+     the sanitizer bit of the arming word first. *)
   let san_check h = function
     | None -> ()
     | Some s ->
@@ -318,13 +319,16 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   (* The loop of get (lines 4-12): [prev] is the last node passed, [dir]
      the direction taken from it and [cell] that link. Stops at the node
      holding [key] or at an empty link, records prev and dir in the
-     handle, and returns curr. A module-level function rather than a
-     local closure, so the descent allocates nothing. *)
-  let rec descend h key fault_on san_on prev dir cell =
+     handle, and returns curr. [armed] is the arming word get loaded; a
+     zero word costs one test per level. A module-level function rather
+     than a local closure, so the descent allocates nothing. *)
+  let rec descend h key armed prev dir cell =
     match Atomic.get cell with
     | Node c as curr ->
-        if fault_on then Fault.inject fault_read_step;
-        if san_on then san_check h c.shadow;
+        if armed <> 0 then begin
+          if armed land Arm.fault <> 0 then Fault.inject fault_read_step;
+          if armed land Arm.sanitizer <> 0 then san_check h c.shadow
+        end;
         let cmp = K.compare c.key key in
         if cmp = 0 then begin
           h.prev <- prev;
@@ -333,8 +337,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         end
         else
           let dir = Citrus_proto.dir_of_cmp cmp in
-          descend h key fault_on san_on curr dir
-            (if dir = left then c.left else c.right)
+          descend h key armed curr dir (if dir = left then c.left else c.right)
     | (Nil | Sentinel _) as curr ->
         h.prev <- prev;
         h.dir <- dir;
@@ -357,20 +360,18 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let get h key =
     R.read_lock h.rt;
     match
-      (* Arming state is snapshot once per critical section: the calls
-         are not inlined across modules, and per-visited-node calls
-         measurably tax the wait-free search this tree exists for. A
-         traversal that began before arming is allowed to finish
-         unprobed — arming is a debug-time operation. *)
-      let san_on = San.enabled () in
+      (* The arming word is loaded once per critical section and passed
+         down: the calls are not inlined across modules, and
+         per-visited-node loads measurably tax the wait-free search this
+         tree exists for. A traversal that began before arming is allowed
+         to finish unprobed — arming is a debug-time operation. *)
+      let armed = Arm.word () in
       let root = h.tree.root in
-      let curr =
-        descend h key (Fault.enabled ()) san_on root left (link root left)
-      in
+      let curr = descend h key armed root left (link root left) in
       (* Save the tag inside the read-side critical section (line 13);
          [prev] was vetted when traversed, but the tag dereference must
          not outlive its grace period either. *)
-      if san_on then san_check h (shadow_of h.prev);
+      if armed land Arm.sanitizer <> 0 then san_check h (shadow_of h.prev);
       h.tag <- Atomic.get (tag_cell h.prev h.dir);
       curr
     with
@@ -416,9 +417,10 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     | Nil | Sentinel _ ->
         let prev = h.prev and tag = h.tag and direction = h.dir in
         t.hooks.between_get_and_lock ();
+        let armed = Arm.word () in
         let prev_lock = lock_of prev in
         Spinlock.acquire_ordered prev_lock 0;
-        if San.enabled () then san_observe (shadow_of prev);
+        if armed land Arm.sanitizer <> 0 then san_observe (shadow_of prev);
         if validate prev tag Nil direction then begin
           let node = new_node key (Some value) Nil Nil in
           Atomic.set (link prev direction) node;
@@ -428,7 +430,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
              word is touched; prev's lock is left held, wedging the tree,
              so the hunt discards it. *)
           Spinlock.release
-            (if Fault.enabled () && Fault.fires bug_unbalanced_unlock then
+            (if armed land Arm.fault <> 0 && Fault.fires bug_unbalanced_unlock
+             then
                lock_of node
              else prev_lock);
           Stats.incr t.inserts h.id;
@@ -444,10 +447,10 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      node locks across it, so the sanitizer probe must not raise —
      [san_note] records the violation and lets the locks be released
      normally. *)
-  let rec leftmost h prev_succ succ =
-    if San.enabled () then san_note h (shadow_of succ);
+  let rec leftmost h armed prev_succ succ =
+    if armed land Arm.sanitizer <> 0 then san_note h (shadow_of succ);
     match child succ left with
-    | Node _ as next -> leftmost h succ next
+    | Node _ as next -> leftmost h armed succ next
     | Nil | Sentinel _ -> (prev_succ, succ)
 
   (* Successor search for the two-children case (lines 58-64): leftmost node
@@ -458,13 +461,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      unlinked nodes, we wrap the walk in a read-side critical section so a
      concurrent grace period cannot reclaim nodes under our feet. The
      caller checked curr has two children. *)
-  let find_successor h curr =
-    if not h.tree.armed then leftmost h curr (child curr right)
+  let find_successor h armed curr =
+    if not h.tree.retires then leftmost h armed curr (child curr right)
     else begin
       R.read_lock h.rt;
       Fun.protect
         ~finally:(fun () -> R.read_unlock h.rt)
-        (fun () -> leftmost h curr (child curr right))
+        (fun () -> leftmost h armed curr (child curr right))
     end
 
   (* delete (lines 42-84). *)
@@ -475,8 +478,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     | Node c as curr ->
         let prev = h.prev and direction = h.dir in
         t.hooks.between_get_and_lock ();
+        let armed = Arm.word () in
         let prev_lock = lock_of prev in
-        if Fault.enabled () && Fault.fires bug_abba_delete then begin
+        if armed land Arm.fault <> 0 && Fault.fires bug_abba_delete then begin
           (* Seeded bug (lockdep mutant): child before parent — against a
              concurrent top-down update this is the classic ABBA deadlock.
              Armed lockdep raises [Order_inversion] at the second
@@ -489,7 +493,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           Spinlock.acquire_ordered prev_lock 0;
           Spinlock.acquire_ordered c.lock 1
         end;
-        if San.enabled () then begin
+        if armed land Arm.sanitizer <> 0 then begin
           san_observe (shadow_of prev);
           san_observe c.shadow
         end;
@@ -516,7 +520,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         else begin
           (* curr has two children: replace it with a copy of its successor
              (lines 57-83, Figure 3(c)-(e)). *)
-          let prev_succ, succ = find_successor h curr in
+          let prev_succ, succ = find_successor h armed curr in
           match succ with
           | Nil | Sentinel _ -> assert false (* curr has a right child *)
           | Node s ->
@@ -526,7 +530,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
               if curr != prev_succ then
                 Spinlock.acquire_ordered prev_succ_lock 2;
               Spinlock.acquire_ordered s.lock 3;
-              if San.enabled () then begin
+              if armed land Arm.sanitizer <> 0 then begin
                 san_observe (shadow_of prev_succ);
                 san_observe s.shadow
               end;
@@ -546,7 +550,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                 c.marked <- true;
                 Atomic.set (link prev direction) node;
                 t.hooks.before_synchronize ();
-                if Fault.enabled () then Fault.inject fault_delete_window;
+                if armed land Arm.fault <> 0 then
+                  Fault.inject fault_delete_window;
                 (* The unlink of succ from its old position (lines 75-80):
                    succ's right subtree takes its place. *)
                 let unlink_succ () =
@@ -567,7 +572,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                    position completes first (line 74). Two ways to pay for
                    that wait: *)
                 let sync_in_read =
-                  Fault.enabled () && Fault.fires bug_sync_in_read
+                  armed land Arm.fault <> 0 && Fault.fires bug_sync_in_read
                 in
                 (match (t.reclaimer, h.bag, t.self_bag) with
                 | Some rc, Some bag, Some self_bag when not sync_in_read ->
@@ -611,7 +616,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                            retiring updater (bag full, reclaimer dead), which
                            owns [bag], or with the reclaimer stopping, where
                            call_rcu frees inline without touching a bag. *)
-                        if t.armed then
+                        if t.retires then
                           retire_into t rc
                             (if Rec.on_reclaimer_domain rc then self_bag
                              else bag)

@@ -3,8 +3,9 @@
    The design constraints, in order:
 
    1. The unobserved hot path must be unchanged: every call site is
-      [if Fault.enabled () then Fault.inject point] — one atomic load and a
-      branch when no point is armed, exactly the [Metrics.enabled] shape.
+      [if Fault.enabled () then Fault.inject point] — one load of the
+      arming word ([Arm]) and a branch when no point is armed; hot sites
+      that already loaded the word test its fault bit instead.
    2. Deterministic: whether a given arrival fires is a pure function of
       (global seed, point, domain, arrival number), so a failing schedule
       can be replayed from its seed.
@@ -45,10 +46,9 @@ let stripe_mask = stripes - 1
 
 let default_action = Yield 256
 
-(* Any point armed? The only cost on a disabled hot path. *)
-let on = Atomic.make false
-
-let enabled () = Atomic.get on
+(* Any point armed? The fault bit of the arming word, kept in step with
+   the thresholds by [refresh_on]. *)
+let enabled () = Arm.word () land Arm.fault <> 0
 
 let registered : t list ref = ref [] (* newest first *)
 let global_seed = ref 0x5EEDL
@@ -104,7 +104,9 @@ let points () = List.rev !registered
 let rate p = float_of_int (Atomic.get p.threshold) /. float_of_int rate_scale
 
 let refresh_on () =
-  Atomic.set on (List.exists (fun p -> Atomic.get p.threshold > 0) !registered)
+  if List.exists (fun p -> Atomic.get p.threshold > 0) !registered then
+    Arm.set Arm.fault
+  else Arm.clear Arm.fault
 
 let arm_point p ~rate ?action () =
   if not (Float.is_finite rate) || rate < 0.0 || rate > 1.0 then
@@ -127,7 +129,7 @@ let seed () = !global_seed
 
 let disable_all () =
   List.iter (fun p -> Atomic.set p.threshold 0) !registered;
-  Atomic.set on false
+  Arm.clear Arm.fault
 
 let configure ?seed specs =
   disable_all ();
@@ -260,6 +262,7 @@ let catalogue =
     "bug.urcu.single_flip";
     "bug.qsbr.quiescent_in_section";
     "bug.reclaimer.early_free";
+    "bug.gp.skip_synchronize";
     "bug.citrus.abba_delete";
     "bug.citrus.sync_in_read";
     "bug.citrus.unbalanced_unlock";

@@ -9,8 +9,8 @@
     arrivals at that window execute a fault action (a [Domain.cpu_relax]
     yield storm or a busy-wait delay).
 
-    Cost when nothing is armed: one atomic load and a branch per call
-    site, the same shape as [Metrics.enabled]. Whether a given arrival
+    Cost when nothing is armed: one load of the arming word ({!Arm})
+    and a branch per call site. Whether a given arrival
     fires is a pure function of (seed, point, domain, arrival number), so
     failing schedules replay from their seed.
 
@@ -53,8 +53,9 @@ val points : unit -> t list
 (** All registered points, registration order. *)
 
 val enabled : unit -> bool
-(** [true] iff at least one point is armed. Call sites gate on this so the
-    disarmed cost is one atomic load and a branch. *)
+(** [true] iff at least one point is armed: the fault bit of {!Arm}'s
+    word. Call sites gate on this (or on the bit of a word they already
+    loaded) so the disarmed cost is one load and a branch. *)
 
 val inject : t -> unit
 (** Hot-path entry: draw the point's deterministic coin and, on fire,

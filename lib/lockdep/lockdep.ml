@@ -27,10 +27,11 @@
      synchronize call, not as a hang.
 
    This module sits *below* the locks in the dependency stack, so it can
-   use nothing from Repro_sync: the dependency-graph lock is a private
-   hand-rolled spin on an atomic (which also keeps lockdep from ever
-   recursing into itself), and the counters are plain atomics — armed
-   mode is a debug mode, contention on them is acceptable. *)
+   use nothing from Repro_sync (only the arming word, Repro_fault.Arm):
+   the dependency-graph lock is a private hand-rolled spin on an atomic
+   (which also keeps lockdep from ever recursing into itself), and the
+   counters are plain atomics — armed mode is a debug mode, contention
+   on them is acceptable. *)
 
 type role = Tree_node | Gp | Registry | Generic
 
@@ -78,11 +79,7 @@ let new_lock_id () = Atomic.fetch_and_add lock_ids 1
 
 (* -- arming and counters -- *)
 
-let on = Atomic.make false
-
-let enabled () = Atomic.get on
-let arm () = Atomic.set on true
-let disarm () = Atomic.set on false
+let enabled () = Repro_fault.Arm.word () land Repro_fault.Arm.lockdep <> 0
 
 let checks_total = Atomic.make 0
 let violations_total = Atomic.make 0
@@ -358,10 +355,3 @@ let reset () =
   d.held <- [];
   d.rcu_nesting <- 0;
   d.rcu_slot <- -1
-
-(* Environment arming, mirroring REPRO_SANITIZE / REPRO_FAULTS: any
-   binary can run lockdep-armed without code changes. *)
-let () =
-  match Sys.getenv_opt "REPRO_LOCKDEP" with
-  | Some ("1" | "true" | "yes" | "on") -> arm ()
-  | Some _ | None -> ()

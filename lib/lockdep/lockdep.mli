@@ -24,25 +24,26 @@
     of an inverted dependency, the domain, the held-lock stack, and the
     reader slot for RCU-context violations.
 
-    Cost discipline: off by default. Instrumented sites are gated on
-    {!enabled} — the disarmed cost is one atomic load and a branch per
-    acquisition, the Metrics/Fault/Sanitizer shape. Arm with {!arm}, or
-    process-wide with [REPRO_LOCKDEP=1] (mirroring [REPRO_SANITIZE=1]).
-    Arm and disarm only at quiescent points (no locks held, no read-side
-    critical section open on any domain): lockdep only sees events that
-    happen while it is armed, so arming inside a critical section makes
-    the matching release look unbalanced.
+    Cost discipline: off by default. Instrumented sites are gated on the
+    lockdep bit of the arming word ([Repro_fault.Arm]) — the disarmed
+    cost is one load and a branch per site, shared with the sanitizer,
+    trace and fault bits. Arm with [Arm.with_ Arm.lockdep], or
+    process-wide with [REPRO_LOCKDEP=1]. Arm and disarm only at
+    quiescent points (no locks held, no read-side critical section open
+    on any domain): lockdep only sees events that happen while it is
+    armed, so arming inside a critical section makes the matching
+    release look unbalanced.
 
     This module sits below [Repro_sync] in the dependency stack (the
     locks themselves call into it), so it depends only on the stdlib and
-    exposes its counters for [Metrics] to read at snapshot time and a
-    {!set_violation_hook} for [Trace] to record violations. *)
+    the arming word, and exposes its counters for [Metrics] to read at
+    snapshot time and a {!set_violation_hook} for [Trace] to record
+    violations. *)
 
 (** {1 Arming} *)
 
 val enabled : unit -> bool
-val arm : unit -> unit
-val disarm : unit -> unit
+(** The lockdep bit of [Repro_fault.Arm]'s word. *)
 
 (** {1 Lock classes} *)
 

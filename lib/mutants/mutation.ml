@@ -15,6 +15,7 @@
 module Fault = Repro_fault.Fault
 module San = Repro_sanitizer.Sanitizer
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 module Torture = Repro_rcu.Torture
 module Barrier = Repro_sync.Barrier
 module Rng = Repro_sync.Rng
@@ -71,21 +72,13 @@ module type TREE = sig
   val sanitizer : 'v t -> San.domain
 end
 
-module Broken_epoch =
-  Repro_citrus.Citrus_buggy.Make (Citrus_int.Ord_int) (Repro_rcu.Epoch_rcu)
-
 (* Arm the sanitizer and exactly [faults] around [f], restoring both: the
    suite runs inside test processes that may not want either left on. *)
 let with_armed ~seed ~faults f =
-  let was = San.enabled () in
-  San.arm ();
+  Arm.with_ Arm.sanitizer @@ fun () ->
   Fault.configure ~seed:(Int64.of_int seed) [];
   List.iter (fun (nm, rate, action) -> Fault.set ?action nm ~rate) faults;
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disable_all ();
-      if not was then San.disarm ())
-    f
+  Fun.protect ~finally:Fault.disable_all f
 
 (* One round of the Citrus hunt: [readers] domains sweep lookups over a
    small key range while the main domain churns delete/insert on every
@@ -239,15 +232,10 @@ let lockdep_round (module T : TREE) =
    the validator's violations plus whatever [f] adds. *)
 let with_lockdep f =
   Lockdep.reset ();
-  let was = Lockdep.enabled () in
-  Lockdep.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      if not was then Lockdep.disarm ();
-      Lockdep.reset ())
-    (fun () ->
-      let v = f () in
-      once (Lockdep.violations () + v) "")
+  Fun.protect ~finally:Lockdep.reset (fun () ->
+      Arm.with_ Arm.lockdep (fun () ->
+          let v = f () in
+          once (Lockdep.violations () + v) ""))
 
 (* A clean round with the sanitizer armed too, so the successor walk's
    read section, the retired bags and the drain-time grace periods are
@@ -314,16 +302,19 @@ let chaos_mutant name point scenario =
 
 let chaos_control name scenario = control Chaos name (fun _ -> arm [] scenario)
 
+let skip_synchronize = "bug.gp.skip_synchronize"
 let early_free = "bug.reclaimer.early_free"
 let single_flip = "bug.urcu.single_flip"
 let quiescent_in_section = "bug.qsbr.quiescent_in_section"
 
 let table =
   [
-    (* Citrus over an RCU whose synchronize is a no-op: two-child deletes
-       (and every inline reclaimer drain) free nodes readers still hold. *)
-    mutant Sanitizer "citrus-skip-synchronize"
-      (citrus_hunt (module Broken_epoch) ~faults:[ read_step ]);
+    (* Every synchronize returns without waiting: two-child deletes (and
+       every inline reclaimer drain) free nodes readers still hold. *)
+    mutant ~bug:skip_synchronize Sanitizer "citrus-skip-synchronize"
+      (citrus_hunt
+         (module Citrus_int.Epoch)
+         ~faults:[ read_step; bug skip_synchronize ]);
     (* A correct tree with call_rcu on: the only broken component is the
        background reclaimer's cookie discipline. *)
     mutant ~bug:early_free Sanitizer "reclaimer-early-free"

@@ -17,9 +17,8 @@
     ([if Fault.enabled () && Fault.fires p then (* the bug *)]); its
     mutant row names the point, arms it at rate 1.0 in the same
     configuration as the run's delay points, and counts as caught only
-    if the detector fired {e and} the point fired. Two kinds of mutant
-    carry no point: Citrus over [Citrus_buggy.Broken_sync] substitutes a
-    broken RCU flavour, and each model mutant is its own model in
+    if the detector fired {e and} the point fired. Only the model
+    mutants carry no point: each is its own model in
     [Repro_modelcheck.Models]. Controls name no point: a control is
     silent only if no [bug.*] point saw an arrival during it. The
     catalogue, with each row's detector, is in ROBUSTNESS.md, "Mutation

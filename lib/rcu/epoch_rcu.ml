@@ -3,8 +3,8 @@ module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Fault = Repro_fault.Fault
-module San = Repro_sanitizer.Sanitizer
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 
 type slot = int Atomic.t
 (* Encoding: [count lsl 1) lor flag]. Only the owning thread writes its
@@ -74,18 +74,21 @@ let unregister th =
     invalid_arg "Epoch_rcu.unregister: inside a read-side critical section";
   Registry.release (Gp.slots th.rcu.driver) th.index
 
+(* Each side loads the arming word once: with every debug layer off, a
+   section pays the slot stores, the read-section count and one load per
+   side. *)
 let read_lock th =
-  if Lockdep.enabled () then Lockdep.rcu_read_enter ~slot:th.index;
+  let armed = Arm.word () in
+  if armed land Arm.lockdep <> 0 then Lockdep.rcu_read_enter ~slot:th.index;
   if th.nesting = 0 then begin
     (* One SC store publishes both the new count and the flag
        (Protocol.Epoch.slot_enter). *)
     Atomic.set th.slot (Protocol.Epoch.slot_enter (Atomic.get th.slot));
-    if San.enabled () then
+    Stats.incr Metrics.rcu_read_sections th.index;
+    if armed land Arm.sanitizer <> 0 then
       th.entry_cookie <-
         Protocol.Epoch.snap ~gp_started:(Atomic.get th.rcu.gp_started);
-    if Metrics.enabled () then
-      Stats.incr Metrics.rcu_read_sections th.index;
-    Trace.record Read_enter th.index
+    if armed land Arm.trace <> 0 then Trace.record Read_enter th.index
   end;
   th.nesting <- th.nesting + 1
 
@@ -93,13 +96,14 @@ let read_unlock th =
   (* The lockdep check runs first: armed, an unbalanced unlock is a
      structured [Lockdep.Violation]; disarmed, the historical
      [Invalid_argument] below still fires. *)
-  if Lockdep.enabled () then Lockdep.rcu_read_exit ();
+  let armed = Arm.word () in
+  if armed land Arm.lockdep <> 0 then Lockdep.rcu_read_exit ();
   if th.nesting <= 0 then
     invalid_arg "Epoch_rcu.read_unlock: not inside a read-side critical section";
   th.nesting <- th.nesting - 1;
   if th.nesting = 0 then begin
     Atomic.set th.slot (Protocol.Epoch.slot_exit (Atomic.get th.slot));
-    Trace.record Read_exit th.index
+    if armed land Arm.trace <> 0 then Trace.record Read_exit th.index
   end
 
 let read_depth th = th.nesting

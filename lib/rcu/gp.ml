@@ -12,6 +12,8 @@ module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Lockdep = Repro_lockdep.Lockdep
+module Fault = Repro_fault.Fault
+module Arm = Repro_fault.Arm
 
 (* Process-global coalescing switch, so `bench/main.exe -- gp` can A/B the
    exact same binary: every flavour with coalescing off (the
@@ -57,22 +59,34 @@ let grace_periods t = Atomic.get t.gps
 
 (* --- the synchronize frame --- *)
 
+(* Seeded bug (ROBUSTNESS.md, "Mutation suite"): when it fires, the frame
+   skips the body and returns without waiting for a reader — in every
+   flavour's [synchronize], [cond_synchronize] and reclaimer wait. *)
+let bug_skip_synchronize = Fault.register "bug.gp.skip_synchronize"
+
 let synchronize t body ctx =
+  (* One load of the arming word for the whole frame. *)
+  let armed = Arm.word () in
   (* RCU rule 1 (lockdep-enforced): a grace-period wait inside a
      read-side critical section can never return — the waiter is the
      reader it waits for. Checked before any lock queue or slot scan. *)
-  if Lockdep.enabled () then Lockdep.check_sync ();
+  if armed land Arm.lockdep <> 0 then Lockdep.check_sync ();
+  let traced = armed land Arm.trace <> 0 in
   let t0 = Metrics.now_ns () in
-  Trace.record Sync_start (Metrics.slot ());
-  let coalesced = body ctx ~t0 in
+  if traced then Trace.record Sync_start (Metrics.slot ());
+  let coalesced =
+    if armed land Arm.fault <> 0 && Fault.fires bug_skip_synchronize then
+      false
+    else body ctx ~t0
+  in
   Atomic.incr t.gps;
   let dt = Metrics.now_ns () - t0 in
-  if Metrics.enabled () then begin
-    Stats.Timer.record Metrics.grace_period_ns (Metrics.slot ()) dt;
-    if coalesced then Stats.incr Metrics.sync_coalesced (Metrics.slot ())
-  end;
-  if coalesced then Trace.record Sync_coalesced (Metrics.slot ());
-  Trace.record Sync_end dt
+  Stats.Timer.record Metrics.grace_period_ns (Metrics.slot ()) dt;
+  if coalesced then Stats.incr Metrics.sync_coalesced (Metrics.slot ());
+  if traced then begin
+    if coalesced then Trace.record Sync_coalesced (Metrics.slot ());
+    Trace.record Sync_end dt
+  end
 
 (* --- the reader wait --- *)
 
@@ -111,8 +125,8 @@ let wait_slot t ~t0 ~armed ~thr ~target ~abort i slot first =
    slot costs one load and one mask test: the backoff state is only
    created once a slot actually blocks. *)
 let wait_readers t ~t0 ~target ~abort =
-  let armed = Stall.armed () in
-  let thr = if armed then Stall.threshold_ns () else 0 in
+  let thr = Stall.threshold_ns () in
+  let armed = thr > 0 in
   let slots = t.slots and busy = t.busy and blocks = t.blocks in
   let n = Registry.capacity slots in
   let i = ref 0 in

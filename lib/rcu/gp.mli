@@ -58,7 +58,10 @@ val synchronize : t -> ('a -> t0:int -> bool) -> 'a -> unit
     [t0] is the call's start for the stall watchdog. [body] takes its
     context as an argument rather than as a closure so the frame
     allocates nothing. An exception from [body] ([Stall.Stalled] in fail
-    mode) propagates and counts nothing. *)
+    mode) propagates and counts nothing. The frame loads the arming word
+    once; with the [bug.gp.skip_synchronize] fault point armed, a firing
+    arrival skips [body] and returns without waiting (the mutant table's
+    broken grace period, for every flavour at once). *)
 
 val wait_for_readers : t -> t0:int -> target:int -> unit
 (** Wait until no slot blocks [target]. Each blocked slot waits with its

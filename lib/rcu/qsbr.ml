@@ -3,8 +3,8 @@ module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Fault = Repro_fault.Fault
-module San = Repro_sanitizer.Sanitizer
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 
 (* Slot encoding: 0 = offline; otherwise a snapshot of the global
    grace-period counter (always odd, so 0 is unambiguous). A thread is
@@ -96,16 +96,17 @@ let quiescent_state th =
    read_unlock announces quiescence and goes offline, so idle registered
    threads never stall writers. Nested sections cost nothing. *)
 let read_lock th =
-  if Lockdep.enabled () then Lockdep.rcu_read_enter ~slot:th.index;
+  let armed = Arm.word () in
+  if armed land Arm.lockdep <> 0 then Lockdep.rcu_read_enter ~slot:th.index;
   if th.nesting = 0 then begin
     online th;
-    if San.enabled () then
+    Stats.incr Metrics.rcu_read_sections th.index;
+    if armed land Arm.sanitizer <> 0 then
       th.entry_cookie <- Protocol.Qsbr.snap ~gp:(Atomic.get th.rcu.gp);
-    if Metrics.enabled () then
-      Stats.incr Metrics.rcu_read_sections th.index;
-    Trace.record Read_enter th.index
+    if armed land Arm.trace <> 0 then Trace.record Read_enter th.index
   end
-  else if Fault.enabled () && Fault.fires bug_quiescent_in_section then
+  else if armed land Arm.fault <> 0 && Fault.fires bug_quiescent_in_section
+  then
     (* Seeded bug (c): a nested entry treated as a quiescent state — the
        slot jumps to the current counter, releasing any scan that was
        waiting for this (still running) section. *)
@@ -114,13 +115,14 @@ let read_lock th =
 
 let read_unlock th =
   (* Lockdep first (see Epoch_rcu.read_unlock). *)
-  if Lockdep.enabled () then Lockdep.rcu_read_exit ();
+  let armed = Arm.word () in
+  if armed land Arm.lockdep <> 0 then Lockdep.rcu_read_exit ();
   if th.nesting <= 0 then
     invalid_arg "Qsbr.read_unlock: not inside a read-side critical section";
   th.nesting <- th.nesting - 1;
   if th.nesting = 0 then begin
     Atomic.set th.slot 0;
-    Trace.record Read_exit th.index
+    if armed land Arm.trace <> 0 then Trace.record Read_exit th.index
   end
 
 let read_gp_seq rcu = Protocol.Qsbr.snap ~gp:(Atomic.get rcu.gp)

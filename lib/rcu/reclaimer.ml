@@ -243,12 +243,10 @@ module Make (R : Rcu_intf.S) = struct
     it.run ()
 
   let note_batch t ~depth n =
-    if Metrics.enabled () then begin
-      let s = Metrics.slot () in
-      Stats.incr Metrics.reclaim_batches s;
-      (* Depth sample, not a duration: mean/max backlog in snapshots. *)
-      Stats.Timer.record Metrics.reclaim_backlog s depth
-    end;
+    let s = Metrics.slot () in
+    Stats.incr Metrics.reclaim_batches s;
+    (* Depth sample, not a duration: mean/max backlog in snapshots. *)
+    Stats.Timer.record Metrics.reclaim_backlog s depth;
     Atomic.incr t.batches;
     Trace.record Reclaim n
 
@@ -357,8 +355,7 @@ module Make (R : Rcu_intf.S) = struct
     let i = Atomic.get p.head mod Array.length p.ring in
     Atomic.set p.ring.(i) (Some it);
     Atomic.incr p.head;
-    if Metrics.enabled () then
-      Stats.incr Metrics.call_rcu_enqueued (Metrics.slot ())
+    Stats.incr Metrics.call_rcu_enqueued (Metrics.slot ())
 
   (* Inline drain, on the producer's own domain: empty the bag, wait once
      on the newest cookie ([read_gp_seq] is monotonic, so it covers the

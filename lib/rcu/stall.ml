@@ -16,27 +16,24 @@ type report = {
 
 exception Stalled of report
 
-(* Watchdog configuration. [armed] is the only state read on an un-stalled
-   grace period: each reader wait reads it once into a local, and with
-   it false a blocked slot's backoff step skips the deadline check, so
-   benches with the watchdog off read no clock in the wait. *)
-let armed_flag = Atomic.make false
-let threshold = Atomic.make 0 (* ns; meaningful only while armed *)
+(* Watchdog configuration. The threshold is the only state read on an
+   un-stalled grace period: each reader wait reads it once into a local,
+   and with it 0 (disarmed) a blocked slot's backoff step skips the
+   deadline check, so benches with the watchdog off read no clock in the
+   wait. *)
+let threshold = Atomic.make 0 (* ns; 0 = disarmed *)
 let fail_mode = Atomic.make false
 
-let armed () = Atomic.get armed_flag
 let threshold_ns () = Atomic.get threshold
 let current_mode () = if Atomic.get fail_mode then Fail else Warn
 
 let arm ?(mode = Warn) ~threshold_ns () =
   if threshold_ns <= 0 then
     invalid_arg "Stall.arm: threshold_ns must be positive";
-  Atomic.set threshold threshold_ns;
   Atomic.set fail_mode (mode = Fail);
-  Atomic.set armed_flag true
+  Atomic.set threshold threshold_ns
 
 let disarm () =
-  Atomic.set armed_flag false;
   Atomic.set threshold 0;
   Atomic.set fail_mode false
 
@@ -110,7 +107,7 @@ let recently_stalled ~within_ns =
 let note r =
   Atomic.set last_stall (Trace.now_ns ());
   Atomic.incr stall_total;
-  if Metrics.enabled () then Stats.incr Metrics.rcu_stalls (Metrics.slot ());
+  Stats.incr Metrics.rcu_stalls (Metrics.slot ());
   Trace.record Stall r.slot;
   (Atomic.get handler) r;
   if Atomic.get fail_mode then raise (Stalled r)

@@ -53,8 +53,9 @@ val arm : ?mode:mode -> threshold_ns:int -> unit -> unit
 
 val disarm : unit -> unit
 
-val armed : unit -> bool
 val threshold_ns : unit -> int
+(** The armed threshold; 0 while disarmed. *)
+
 val current_mode : unit -> mode
 
 val set_handler : (report -> unit) -> unit

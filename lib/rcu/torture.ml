@@ -28,6 +28,7 @@ module Rng = Repro_sync.Rng
 module Fault = Repro_fault.Fault
 module San = Repro_sanitizer.Sanitizer
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 
 type config = {
   readers : int;
@@ -317,28 +318,23 @@ module Make (R : Rcu_intf.S) = struct
     Stall.set_handler (fun rep ->
         Atomic.incr stall_count;
         if cfg.verbose then Stall.default_handler rep);
-    let san_was_armed = San.enabled () in
     let san =
-      if cfg.sanitize then begin
-        San.arm ();
-        Some (San.create ("torture/" ^ R.name))
-      end
-      else None
+      if cfg.sanitize then Some (San.create ("torture/" ^ R.name)) else None
     in
-    (* Lockdep mirrors the sanitizer: armed here (a quiescent point — no
-       domain holds a lock or a read-side section yet), restored on the
-       way out, and reported as a violation *delta* so an already-armed
-       process keeps its running totals. *)
-    let ld_was_armed = Lockdep.enabled () in
-    if cfg.lockdep then Lockdep.arm ();
+    (* The sanitizer and lockdep bits are set here (a quiescent point — no
+       domain holds a lock or a read-side section yet) and put back on
+       the way out; lockdep is reported as a violation *delta* so an
+       already-armed process keeps its running totals. *)
     let ld_before = Lockdep.violations () in
+    Arm.with_
+      ((if cfg.sanitize then Arm.sanitizer else 0)
+      lor if cfg.lockdep then Arm.lockdep else 0)
+    @@ fun () ->
     Fun.protect
       ~finally:(fun () ->
         Fault.disable_all ();
         Stall.disarm ();
-        Stall.reset_handler ();
-        if cfg.sanitize && not san_was_armed then San.disarm ();
-        if cfg.lockdep && not ld_was_armed then Lockdep.disarm ())
+        Stall.reset_handler ())
       (fun () ->
         let out = body cfg ~seed ~stall_count ~san in
         let out =

@@ -4,8 +4,8 @@ module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Fault = Repro_fault.Fault
-module San = Repro_sanitizer.Sanitizer
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 
 (* Per-thread word layout (as in liburcu): low 16 bits = nesting count,
    bit 16 = phase. A thread is a quiescent reader when its nesting bits are
@@ -104,28 +104,30 @@ let read_gp_seq rcu = Protocol.Urcu.snap ~gp_seq:(Atomic.get rcu.gp_seq)
 let poll rcu snap = Protocol.Urcu.covered ~gp_seq:(Atomic.get rcu.gp_seq) ~snap
 
 let read_lock th =
-  if Lockdep.enabled () then Lockdep.rcu_read_enter ~slot:th.index;
+  let armed = Arm.word () in
+  if armed land Arm.lockdep <> 0 then Lockdep.rcu_read_enter ~slot:th.index;
   let v = Atomic.get th.slot in
   if v land nest_mask = 0 then begin
     (* Outermost: adopt the current global phase with nesting 1. *)
     let phase = Atomic.get th.rcu.gp_ctr in
-    if Fault.enabled () then Fault.inject fault_read_enter;
+    if armed land Arm.fault <> 0 then Fault.inject fault_read_enter;
     Atomic.set th.slot (Protocol.Urcu.enter_word ~phase);
-    if San.enabled () then th.entry_cookie <- read_gp_seq th.rcu;
-    if Metrics.enabled () then
-      Stats.incr Metrics.rcu_read_sections th.index;
-    Trace.record Read_enter th.index
+    Stats.incr Metrics.rcu_read_sections th.index;
+    if armed land Arm.sanitizer <> 0 then th.entry_cookie <- read_gp_seq th.rcu;
+    if armed land Arm.trace <> 0 then Trace.record Read_enter th.index
   end
   else Atomic.set th.slot (v + 1)
 
 let read_unlock th =
   (* Lockdep first (see Epoch_rcu.read_unlock). *)
-  if Lockdep.enabled () then Lockdep.rcu_read_exit ();
+  let armed = Arm.word () in
+  if armed land Arm.lockdep <> 0 then Lockdep.rcu_read_exit ();
   let v = Atomic.get th.slot in
   if v land nest_mask = 0 then
     invalid_arg "Urcu.read_unlock: not inside a read-side critical section";
   Atomic.set th.slot (v - 1);
-  if (v - 1) land nest_mask = 0 then Trace.record Read_exit th.index
+  if (v - 1) land nest_mask = 0 && armed land Arm.trace <> 0 then
+    Trace.record Read_exit th.index
 
 let wait_for_readers rcu t0 =
   Gp.wait_for_readers rcu.driver ~t0 ~target:(Atomic.get rcu.gp_ctr)

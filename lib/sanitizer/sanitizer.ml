@@ -17,11 +17,12 @@
    never happened).
 
    Cost discipline: off by default; every instrumented site is
-   [if Sanitizer.enabled () then ...] — one atomic load and a branch,
-   the Metrics/Fault shape. A domain's shadow table only holds records in
-   the Deferred state (inserted by [on_defer], removed by [on_reclaim]),
-   so memory stays bounded by the reclamation backlog, not by the number
-   of objects ever allocated. *)
+   [if Sanitizer.enabled () then ...] — one load of the arming word and a
+   branch, or a bit test on a word the hot site already loaded. A
+   domain's shadow table only holds records in the Deferred state
+   (inserted by [on_defer], removed by [on_reclaim]), so memory stays
+   bounded by the reclamation backlog, not by the number of objects ever
+   allocated. *)
 
 module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
@@ -86,16 +87,12 @@ let () =
     | Violation r -> Some (report_to_string r)
     | _ -> None)
 
-(* The one-load-and-branch gate every instrumented site consults. *)
-let on = Atomic.make false
+let enabled () = Repro_fault.Arm.word () land Repro_fault.Arm.sanitizer <> 0
 
-let enabled () = Atomic.get on
-let arm () = Atomic.set on true
-let disarm () = Atomic.set on false
-
-(* Violations are counted unconditionally (they are rare and load-bearing
-   for the mutation suite); per-touch check counts go through the striped
-   Metrics registry so armed readers do not contend on one cell. *)
+(* Violations are counted in a cell of their own too (they are rare and
+   load-bearing for the mutation suite); per-touch check counts go
+   through the striped Metrics registry so armed readers do not contend
+   on one cell. *)
 let violations_total = Atomic.make 0
 
 let violations () = Atomic.get violations_total
@@ -137,8 +134,7 @@ let make_report kind r ~slot ~cookie ~bt =
 
 let note_violation rep =
   Atomic.incr violations_total;
-  if Metrics.enabled () then
-    Stats.incr Metrics.sanitizer_violations (Metrics.slot ());
+  Stats.incr Metrics.sanitizer_violations (Metrics.slot ());
   Trace.record Sanitize_violation rep.node_id
 
 let backtrace () =
@@ -149,9 +145,7 @@ let violation kind r ~slot ~cookie =
   note_violation rep;
   raise (Violation rep)
 
-let count_check () =
-  if Metrics.enabled () then
-    Stats.incr Metrics.sanitizer_checks (Metrics.slot ())
+let count_check () = Stats.incr Metrics.sanitizer_checks (Metrics.slot ())
 
 let resolve_slot = function Some s -> s | None -> Metrics.slot ()
 let resolve_cookie = function Some c -> c | None -> 0
@@ -220,10 +214,3 @@ let audit d =
   |> List.sort (fun a b -> compare a.id b.id)
   |> List.map (fun r ->
          make_report Leaked_deferral r ~slot:(-1) ~cookie:0 ~bt:"")
-
-(* Environment arming, mirroring REPRO_FAULTS / REPRO_STALL_MS: any
-   binary can run sanitized without code changes. *)
-let () =
-  match Sys.getenv_opt "REPRO_SANITIZE" with
-  | Some ("1" | "true" | "yes" | "on") -> arm ()
-  | Some _ | None -> ()

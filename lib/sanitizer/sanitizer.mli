@@ -23,9 +23,10 @@
     double-frees ([on_defer]/[on_reclaim] on an already-retired record)
     and leaked deferrals ({!audit}: records still [Deferred] at teardown).
 
-    Off by default: every instrumented site is gated on {!enabled}, one
-    atomic load and a branch — the same discipline as [Metrics] and
-    [Fault]. Arm programmatically ({!arm}), per run
+    Off by default: every instrumented site is gated on the sanitizer
+    bit of the arming word ([Repro_fault.Arm]), one load and a branch
+    shared with lockdep, trace and fault points. Arm programmatically
+    ([Arm.with_ Arm.sanitizer]), per run
     ([citrus_tool torture --sanitize]), or via the environment
     ([REPRO_SANITIZE=1]). See ROBUSTNESS.md for the full design, the
     mutation suite that proves the checker catches seeded bugs, and the
@@ -34,10 +35,8 @@
 (** {2 Arming} *)
 
 val enabled : unit -> bool
-(** One atomic load; the gate every instrumented site checks first. *)
-
-val arm : unit -> unit
-val disarm : unit -> unit
+(** The sanitizer bit of [Repro_fault.Arm]'s word; the gate every
+    instrumented site checks first. *)
 
 (** {2 Shadow records} *)
 
@@ -136,8 +135,7 @@ val observe : record -> unit
 
 val violations : unit -> int
 (** Process-global count of violations detected (raised {e and} noted)
-    since start or {!reset_violations}. Counted even when [Metrics] is
-    disabled. *)
+    since start or {!reset_violations}. *)
 
 val reset_violations : unit -> unit
 

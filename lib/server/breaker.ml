@@ -153,8 +153,7 @@ let rec trip t ~now_ns =
           Atomic.set t.win_fail 0;
           Atomic.set t.probes_started 0;
           Atomic.set t.probe_succ 0;
-          if Metrics.enabled () then
-            Stats.incr Metrics.breaker_open (Metrics.slot ());
+          Stats.incr Metrics.breaker_open (Metrics.slot ());
           trace t 1
         end
         else trip t ~now_ns
@@ -169,8 +168,7 @@ let close t =
 
 let reject_counted t =
   Atomic.incr t.rejects_;
-  if Metrics.enabled () then
-    Stats.incr Metrics.breaker_rejects (Metrics.slot ());
+  Stats.incr Metrics.breaker_rejects (Metrics.slot ());
   Reject
 
 (* Probe admission: at most [cfg.probes] probe operations per Half_open

@@ -16,8 +16,6 @@ type t = {
   s : int Atomic.t; (* 0 = healthy, 1 = degraded, 2 = failed *)
   high : int; (* queue depth at/above which Healthy -> Degraded *)
   low : int; (* queue depth at/below which Degraded -> Healthy *)
-  p_high : float; (* reclaim pressure at/above which the latch sets *)
-  p_low : float; (* reclaim pressure at/below which the latch clears *)
   pressure_latch : bool Atomic.t;
       (* Reclamation fell behind (retired backlog near its watermark or
          a grace-period stall): degrade, and keep the shard from healing
@@ -35,28 +33,15 @@ let state_name = function
 
 let of_code = function 0 -> Healthy | 1 -> Degraded | _ -> Failed
 
-let create ?(high_frac = 0.75) ?(low_frac = 0.25) ?(pressure_high = 0.75)
-    ?(pressure_low = 0.25) ~shard ~capacity () =
+let create ~shard ~capacity =
   if capacity <= 0 then invalid_arg "Health.create: capacity must be positive";
-  if
-    (not (Float.is_finite high_frac))
-    || (not (Float.is_finite low_frac))
-    || low_frac < 0.0 || high_frac <= low_frac || high_frac > 1.0
-  then invalid_arg "Health.create: want 0 <= low_frac < high_frac <= 1";
-  if
-    (not (Float.is_finite pressure_high))
-    || (not (Float.is_finite pressure_low))
-    || pressure_low < 0.0
-    || pressure_high <= pressure_low
-  then invalid_arg "Health.create: want 0 <= pressure_low < pressure_high";
   {
     shard;
     s = Atomic.make 0;
-    (* max 1: a tiny queue still degrades before it is full. *)
-    high = max 1 (int_of_float (high_frac *. float_of_int capacity));
-    low = int_of_float (low_frac *. float_of_int capacity);
-    p_high = pressure_high;
-    p_low = pressure_low;
+    (* Degrade at 3/4 of the capacity, heal at 1/4; max 1: a tiny queue
+       still degrades before it is full. *)
+    high = max 1 (capacity * 3 / 4);
+    low = capacity / 4;
     pressure_latch = Atomic.make false;
   }
 
@@ -89,17 +74,19 @@ let observe_depth t depth =
 let pressure_latched t = Atomic.get t.pressure_latch
 
 let observe_reclaim_pressure t p =
-  (* Hysteretic like depth: latch at p_high, clear at p_low. Setting the
-     latch also degrades a healthy shard — reclamation debt is overload
-     even with an empty queue, because every applied write adds to a
-     backlog nothing is draining. Clearing only releases the latch;
-     healing stays depth-driven so the two signals compose. *)
-  if p >= t.p_high then begin
+  (* Hysteretic like depth: latch at 0.75 of the retired-bag watermark,
+     clear at 0.25. Setting the latch also degrades a healthy shard —
+     reclamation debt is overload even with an empty queue, because every
+     applied write adds to a backlog nothing is draining. Clearing only
+     releases the latch; healing stays depth-driven so the two signals
+     compose. *)
+  if p >= 0.75 then begin
     if Atomic.compare_and_set t.pressure_latch false true then
       if Atomic.get t.s = 0 && Atomic.compare_and_set t.s 0 1 then
         trace_change t Degraded
   end
-  else if p <= t.p_low then ignore (Atomic.compare_and_set t.pressure_latch true false)
+  else if p <= 0.25 then
+    ignore (Atomic.compare_and_set t.pressure_latch true false)
 
 let note_stall t =
   (* A stale queue is overload even at modest depth: the updater is not
@@ -119,8 +106,7 @@ let mark_failed t =
   in
   if go () then begin
     trace_change t Failed;
-    if Metrics.enabled () then
-      Stats.incr Metrics.shards_failed (Metrics.slot ());
+    Stats.incr Metrics.shards_failed (Metrics.slot ());
     true
   end
   else false

@@ -26,22 +26,13 @@ type state = Healthy | Degraded | Failed
 
 type t
 
-val create :
-  ?high_frac:float ->
-  ?low_frac:float ->
-  ?pressure_high:float ->
-  ?pressure_low:float ->
-  shard:int ->
-  capacity:int ->
-  unit ->
-  t
-(** Depth watermarks as fractions of the owning queue's [capacity]
-    (defaults 0.75 / 0.25); reclamation-pressure latch thresholds in
-    {!Repro_citrus.Citrus.reclaim_pressure} units — fraction of the
-    reclaimer's retired-bag watermark (defaults 0.75 / 0.25, and note
-    pressure may transiently exceed 1.0).
-    @raise Invalid_argument unless [0 <= low_frac < high_frac <= 1],
-      [0 <= pressure_low < pressure_high] and [capacity > 0]. *)
+val create : shard:int -> capacity:int -> t
+(** Depth watermarks at 0.75 / 0.25 of the owning queue's [capacity];
+    reclamation-pressure latch thresholds at 0.75 / 0.25 in
+    {!Repro_citrus.Citrus.reclaim_pressure} units — fractions of the
+    reclaimer's retired-bag watermark (pressure may transiently exceed
+    1.0).
+    @raise Invalid_argument unless [capacity > 0]. *)
 
 val shard : t -> int
 val state : t -> state
@@ -63,12 +54,12 @@ val note_stall : t -> unit
 val observe_reclaim_pressure : t -> float -> unit
 (** Feed the shard's reclamation pressure (the updater polls
     [reclaim_pressure] each drain cycle — see {!Shard_router}). At or
-    above [pressure_high] the latch sets and a healthy shard degrades:
+    above 0.75 the latch sets and a healthy shard degrades:
     reclamation debt is overload even with an empty queue, since every
     applied write retires memory nothing is freeing. While latched,
     {!observe_depth} cannot heal the shard — shedding empties the queue
     quickly, but the retired backlog shrinks only when grace periods
-    complete. At or below [pressure_low] the latch clears and recovery
+    complete. At or below 0.25 the latch clears and recovery
     returns to depth-driven hysteresis. *)
 
 val pressure_latched : t -> bool

@@ -178,8 +178,7 @@ let check_stall t =
          concurrent producers. *)
       if now - warn > thr && Atomic.compare_and_set t.last_warn_ns warn now
       then begin
-        if Metrics.enabled () then
-          Stats.incr Metrics.mod_queue_stalls (Metrics.slot ());
+        Stats.incr Metrics.mod_queue_stalls (Metrics.slot ());
         Trace.record Trace.Mod_stall t.id;
         let d = Atomic.get t.drainer in
         Printf.eprintf
@@ -201,7 +200,7 @@ let enqueue t ?completion ?(deadline_ns = 0) ?(probe = false) op =
      the queue untouched. *)
   if Fault.enabled () then Fault.inject fp_enqueue;
   if Atomic.get stall_threshold > 0 then check_stall t;
-  let enqueued_at = if Metrics.enabled () then Metrics.now_ns () else 0 in
+  let enqueued_at = Metrics.now_ns () in
   Spinlock.acquire t.lock;
   if t.closed then begin
     (* Checked inside the critical section: [close] takes the same lock,
@@ -214,7 +213,7 @@ let enqueue t ?completion ?(deadline_ns = 0) ?(probe = false) op =
   else if t.len = t.depth then begin
     t.dropped <- t.dropped + 1;
     Spinlock.release t.lock;
-    if Metrics.enabled () then Stats.incr Metrics.mod_drops (Metrics.slot ());
+    Stats.incr Metrics.mod_drops (Metrics.slot ());
     Admit_full
   end
   else begin
@@ -224,8 +223,7 @@ let enqueue t ?completion ?(deadline_ns = 0) ?(probe = false) op =
     if t.len > t.max_depth then t.max_depth <- t.len;
     t.enqueued <- t.enqueued + 1;
     Spinlock.release t.lock;
-    if Metrics.enabled () then
-      Stats.incr Metrics.mod_enqueues (Metrics.slot ());
+    Stats.incr Metrics.mod_enqueues (Metrics.slot ());
     Trace.record Trace.Mod_enqueue t.id;
     Admitted
   end
@@ -266,17 +264,13 @@ let drain t ~max =
   Spinlock.release t.lock;
   Atomic.set t.last_drain_ns (Metrics.now_ns ());
   if k > 0 then begin
-    if Metrics.enabled () then begin
-      let slot = Metrics.slot () in
-      Stats.add Metrics.mod_drained slot k;
-      let now = Metrics.now_ns () in
-      Array.iter
-        (fun e ->
-          if e.enqueued_at > 0 then
-            Stats.Timer.record Metrics.mod_queue_wait_ns slot
-              (now - e.enqueued_at))
-        out
-    end;
+    let slot = Metrics.slot () in
+    Stats.add Metrics.mod_drained slot k;
+    let now = Metrics.now_ns () in
+    Array.iter
+      (fun e ->
+        Stats.Timer.record Metrics.mod_queue_wait_ns slot (now - e.enqueued_at))
+      out;
     Trace.record Trace.Mod_drain k
   end;
   out
@@ -295,7 +289,7 @@ let purge t =
   Array.iter
     (fun e -> match e.completion with Some c -> abort c | None -> ())
     out;
-  if k > 0 && Metrics.enabled () then
+  if k > 0 then
     Stats.add Metrics.writes_lost (Metrics.slot ()) k;
   k
 

@@ -81,7 +81,7 @@ val await : completion -> status
 type entry = {
   op : op;
   completion : completion option;
-  enqueued_at : int;  (** [Metrics.now_ns] at enqueue; 0 if metrics off *)
+  enqueued_at : int;  (** [Metrics.now_ns] at enqueue *)
   deadline_ns : int;
       (** absolute completion deadline on the monotonic clock, carried
           from the client through the router; 0 = none. The updater's

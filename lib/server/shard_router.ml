@@ -108,8 +108,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
     Int64.logxor seed (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
 
   let create ?(shards = 4) ?(queue_depth = 1024) ?(drain_batch = 64)
-      ?(max_clients = 64) ?(supervisor = Supervisor.default_policy)
-      ?high_frac ?low_frac ?pressure_high ?pressure_low ?breaker
+      ?(max_clients = 64) ?(supervisor = Supervisor.default_policy) ?breaker
       ?(seed = 42L) () =
     if shards <= 0 then
       invalid_arg "Shard_router.create: shards must be positive";
@@ -125,9 +124,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
                  registration beyond the client handles. *)
               table = D.create ~max_threads:(max_clients + 2) ();
               queue = Mod_queue.create ~id:i ~depth:queue_depth ();
-              health =
-                Health.create ?high_frac ?low_frac ?pressure_high
-                  ?pressure_low ~shard:i ~capacity:queue_depth ();
+              health = Health.create ~shard:i ~capacity:queue_depth;
               breaker =
                 Breaker.create ?config:breaker ~seed:(shard_seed seed i)
                   ~shard:i ();
@@ -225,9 +222,8 @@ module Make (D : Repro_dict.Dict.DICT) = struct
           else p
         in
         Health.observe_reclaim_pressure shard.health p;
-        if Metrics.enabled () then
-          Stats.Timer.record Metrics.reclaim_pressure (Metrics.slot ())
-            (int_of_float (p *. 1000.0))
+        Stats.Timer.record Metrics.reclaim_pressure (Metrics.slot ())
+          (int_of_float (p *. 1000.0))
       end
     in
     let apply_entry ~replayed (e : Mod_queue.entry) =
@@ -242,8 +238,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
            the expiry feeds the breaker window — a queue full of dead
            work is exactly the overload the breaker exists to shed. *)
         (match e.completion with Some c -> Mod_queue.expire c | None -> ());
-        if Metrics.enabled () then
-          Stats.incr Metrics.writes_expired (Metrics.slot ());
+        Stats.incr Metrics.writes_expired (Metrics.slot ());
         Breaker.on_failure shard.breaker ~now_ns:now ~probe:e.probe
       end
       else begin
@@ -345,7 +340,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       Atomic.set shard.pending [||];
       Atomic.set shard.pending_at 0
     end;
-    if !lost > 0 && Metrics.enabled () then
+    if !lost > 0 then
       Stats.add Metrics.writes_lost (Metrics.slot ()) !lost;
     !lost
 
@@ -560,8 +555,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
                (typically backed-off retries under overload). Refusing
                here is free; admitting would make the updater drain
                work no one wants. *)
-            if Metrics.enabled () then
-              Stats.incr Metrics.writes_expired (Metrics.slot ());
+            Stats.incr Metrics.writes_expired (Metrics.slot ());
             Breaker.on_failure s.breaker ~now_ns:now ~probe:false;
             Error Expired
           end
@@ -571,8 +565,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
             | verdict -> (
                 let probe = verdict = Breaker.Probe in
                 if hs = Health.Degraded && (not waited) && not probe then begin
-                  if Metrics.enabled () then
-                    Stats.incr Metrics.writes_shed (Metrics.slot ());
+                  Stats.incr Metrics.writes_shed (Metrics.slot ());
                   Breaker.on_failure s.breaker ~now_ns:now ~probe:false;
                   Error Overload
                 end

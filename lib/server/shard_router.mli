@@ -93,19 +93,13 @@ module Make (D : Repro_dict.Dict.DICT) : sig
     ?drain_batch:int ->
     ?max_clients:int ->
     ?supervisor:Supervisor.policy ->
-    ?high_frac:float ->
-    ?low_frac:float ->
-    ?pressure_high:float ->
-    ?pressure_low:float ->
     ?breaker:Breaker.config ->
     ?seed:int64 ->
     unit ->
     t
   (** Defaults: 4 shards, queue depth 1024, drain batch 64, 64 clients,
-      {!Supervisor.default_policy}, health depth watermarks 0.75/0.25 of
-      the queue depth, reclamation-pressure latch thresholds 0.75/0.25
-      of the reclaimer watermark ({!Health.create}),
-      {!Breaker.default_config}, seed 42. [max_clients] sizes each
+      {!Supervisor.default_policy}, {!Breaker.default_config}, seed 42.
+      Each shard's health uses the fixed thresholds of {!Health.create}. [max_clients] sizes each
       shard's registry ([D.create ~max_threads:(max_clients + 2)] —
       clients plus the updater and one setup registration). [seed]
       derives every shard's deterministic jitter streams (breaker open

@@ -95,15 +95,13 @@ let rec incarnation t ~adopted_at () =
   | Some crash_ns ->
       let lat = now_ns () - crash_ns in
       t.restart_samples <- lat :: t.restart_samples;
-      if Metrics.enabled () then
-        Stats.Timer.record Metrics.updater_restart_ns (Metrics.slot ()) lat
+      Stats.Timer.record Metrics.updater_restart_ns (Metrics.slot ()) lat
   | None -> ());
   match t.run () with
   | () -> Atomic.set t.done_ true (* clean exit: stop requested, drained *)
   | exception e ->
       Atomic.incr t.crashes;
-      if Metrics.enabled () then
-        Stats.incr Metrics.updater_crashes (Metrics.slot ());
+      Stats.incr Metrics.updater_crashes (Metrics.slot ());
       Trace.record Trace.Updater_crash t.shard;
       (match t.on_crash with
       | Some f -> ( try f e with _ -> ())
@@ -141,8 +139,7 @@ let rec incarnation t ~adopted_at () =
         if t.abort () then Atomic.set t.done_ true
         else begin
           Atomic.incr t.restarts;
-          if Metrics.enabled () then
-            Stats.incr Metrics.updater_restarts (Metrics.slot ());
+          Stats.incr Metrics.updater_restarts (Metrics.slot ());
           Trace.record Trace.Updater_restart t.shard;
           spawn_next t ~adopted_at:(Some now)
         end

@@ -5,14 +5,10 @@
    once, which is what the benchmark JSON report needs.
 
    Everything is striped per domain (the stripe index is the recording
-   domain's id), so enabled-mode recording is one uncontended
-   fetch_and_add. The [enabled] flag is consulted before every record; the
-   disabled cost is an atomic load and a branch. *)
+   domain's id), so recording is one uncontended fetch_and_add. Metrics
+   have no off switch: every run records them. *)
 
-let enabled_flag = Atomic.make true
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let enabled () = true
 
 let slot () = (Domain.self () :> int)
 

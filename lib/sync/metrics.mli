@@ -8,16 +8,14 @@
     registry needs no plumbing and one {!snapshot} captures every
     subsystem at once — the substrate of the benchmark JSON reports.
 
-    Recording is gated on a global {!enabled} flag (default on; the
-    disabled cost is one atomic load and a branch) and striped by domain
-    id, so the enabled cost is one uncontended [fetch_and_add] per event.
+    Recording is unconditional and striped by domain id: one uncontended
+    [fetch_and_add] per event.
     Counter reads are racy but monotone. See OBSERVABILITY.md for the
     metric catalogue and measured overhead. *)
 
 val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** Turn all metric recording on or off (default on). *)
+(** Always [true]: metrics have no off switch. Kept for report headers
+    that print it; code under lib/ records without asking. *)
 
 val slot : unit -> int
 (** Stripe index for the calling domain (its domain id). *)

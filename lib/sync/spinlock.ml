@@ -1,4 +1,5 @@
 module Lockdep = Repro_lockdep.Lockdep
+module Arm = Repro_fault.Arm
 
 type t = {
   state : bool Atomic.t;
@@ -21,39 +22,39 @@ let try_acquire t =
   ok
 
 let acquire_ordered t order =
-  (* Fault injection: delay some arrivals before they attempt the lock,
-     widening the contention window (ROBUSTNESS.md). Disabled cost: one
-     atomic load and a branch — and the same again for lockdep. *)
-  if Repro_fault.Fault.enabled () then Repro_fault.Fault.inject fault_acquire;
-  (* Validated before the first spin: an inverted acquisition order is
-     reported as a [Lockdep.Violation] instead of (sometimes) deadlocking
-     right here. *)
-  if Lockdep.enabled () then Lockdep.lock_acquired t.cls ~id:t.id ~order;
+  (* One load of the arming word covers fault injection, lockdep and
+     trace; each further step runs only when its bit is set. *)
+  let armed = Arm.word () in
+  if armed <> 0 then begin
+    (* Fault injection: delay some arrivals before they attempt the lock,
+       widening the contention window (ROBUSTNESS.md). *)
+    if armed land Arm.fault <> 0 then Repro_fault.Fault.inject fault_acquire;
+    (* Validated before the first spin: an inverted acquisition order is
+       reported as a [Lockdep.Violation] instead of (sometimes)
+       deadlocking right here. *)
+    if armed land Arm.lockdep <> 0 then
+      Lockdep.lock_acquired t.cls ~id:t.id ~order
+  end;
   if try_acquire_raw t then begin
-    if Metrics.enabled () then
-      Stats.incr Metrics.lock_acquires (Metrics.slot ());
-    Trace.record Lock_acquire (Lockdep.cls_id t.cls)
+    Stats.incr Metrics.lock_acquires (Metrics.slot ());
+    if armed land Arm.trace <> 0 then
+      Trace.record Lock_acquire (Lockdep.cls_id t.cls)
   end
   else begin
     (* Contended path: time the spin so lock_wait_ns captures exactly the
        serialization the paper attributes to coarse locking. The clock
        reads stay out of the uncontended path. *)
-    let measure = Metrics.enabled () || Trace.enabled () in
-    let t0 = if measure then Metrics.now_ns () else 0 in
+    let t0 = Metrics.now_ns () in
     let b = Backoff.create () in
     while not (try_acquire_raw t) do
       Backoff.once b
     done;
-    if measure then begin
-      let dt = Metrics.now_ns () - t0 in
-      if Metrics.enabled () then begin
-        let s = Metrics.slot () in
-        Stats.incr Metrics.lock_acquires s;
-        Stats.incr Metrics.lock_contended s;
-        Stats.Timer.record Metrics.lock_wait_ns s dt
-      end;
-      Trace.record Lock_contended dt
-    end
+    let dt = Metrics.now_ns () - t0 in
+    let s = Metrics.slot () in
+    Stats.incr Metrics.lock_acquires s;
+    Stats.incr Metrics.lock_contended s;
+    Stats.Timer.record Metrics.lock_wait_ns s dt;
+    if armed land Arm.trace <> 0 then Trace.record Lock_contended dt
   end
 
 let acquire t = acquire_ordered t (-1)

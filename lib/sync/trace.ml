@@ -9,8 +9,8 @@
      by the monotonic clock, which is bounded and minor);
    - the ring silently overwrites the oldest events once full — total
      memory is fixed at configuration time;
-   - an off-by-default enabled flag checked first, so the disabled cost is
-     one atomic load and a branch.
+   - off by default: the trace bit of the arming word (Repro_fault.Arm)
+     is checked first, so the disabled cost is one load and a branch.
 
    Field reads in [dump] race with writers: a slot can hold fields from two
    different events while a writer is mid-store. This is accepted (the
@@ -136,14 +136,10 @@ let make_ring capacity =
 let default_capacity = 1 lsl 16
 
 let ring = ref (make_ring default_capacity)
-let on = Atomic.make false
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let enabled () = Atomic.get on
-
-let start () = Atomic.set on true
-let stop () = Atomic.set on false
+let enabled () = Repro_fault.Arm.word () land Repro_fault.Arm.trace <> 0
 
 let configure ~capacity =
   if capacity <= 0 then invalid_arg "Trace.configure: capacity must be positive";
@@ -156,7 +152,7 @@ let capacity () = !ring.mask + 1
 let recorded () = Atomic.get !ring.cursor
 
 let record kind arg =
-  if Atomic.get on then begin
+  if enabled () then begin
     let r = !ring in
     let i = Atomic.fetch_and_add r.cursor 1 land r.mask in
     r.times.(i) <- now_ns ();

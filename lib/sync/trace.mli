@@ -9,8 +9,9 @@
     oldest events are overwritten; memory use is fixed at configuration
     time.
 
-    Tracing is {e off} by default (the disabled cost is one atomic load and
-    a branch); call {!start} to begin recording. [dump] is intended to run
+    Tracing is {e off} by default: it records while the trace bit of the
+    arming word is set ([Repro_fault.Arm.with_ Arm.trace]); the disabled
+    cost is one load and a branch. [dump] is intended to run
     after the traced workload has quiesced — concurrent dumping is safe but
     may observe torn events (see the design notes in OBSERVABILITY.md). *)
 
@@ -89,8 +90,7 @@ type event = {
 }
 
 val enabled : unit -> bool
-val start : unit -> unit
-val stop : unit -> unit
+(** The trace bit of [Repro_fault.Arm]'s word. *)
 
 val configure : capacity:int -> unit
 (** Replace the ring with a fresh one of at least [capacity] slots (rounded
@@ -102,7 +102,7 @@ val clear : unit -> unit
 
 val record : kind -> int -> unit
 (** [record kind arg] appends one event if tracing is enabled; otherwise a
-    single flag check. Wait-free. *)
+    single load of the arming word. Wait-free. *)
 
 val capacity : unit -> int
 

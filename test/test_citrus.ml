@@ -26,10 +26,7 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
      retirement must have run. *)
   let with_armed_tree f =
     let module San = Repro_sanitizer.Sanitizer in
-    let was = San.enabled () in
-    San.arm ();
-    Fun.protect ~finally:(fun () -> if not was then San.disarm ())
-    @@ fun () ->
+    Repro_fault.Arm.(with_ sanitizer) @@ fun () ->
     let violations = San.violations () in
     let t = T.create () in
     let r = f t in
@@ -660,16 +657,7 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
   (* The gates measure the default configuration: a tree created with the
      sanitizer and lockdep disarmed, whatever the environment armed. *)
   let with_disarmed_tree f =
-    let module San = Repro_sanitizer.Sanitizer in
-    let module Lockdep = Repro_lockdep.Lockdep in
-    let san = San.enabled () and lockdep = Lockdep.enabled () in
-    San.disarm ();
-    Lockdep.disarm ();
-    Fun.protect
-      ~finally:(fun () ->
-        if san then San.arm ();
-        if lockdep then Lockdep.arm ())
-      (fun () -> with_tree f)
+    Repro_fault.Arm.(without (sanitizer lor lockdep)) (fun () -> with_tree f)
 
   (* The read path allocates nothing: a lookup is one read-side critical
      section and a descent through existing blocks, on hits and misses

@@ -377,15 +377,7 @@ let allocation_row (module D : Repro_dict.Dict.DICT) =
   (contains, cycle)
 
 let test_allocation_table () =
-  let module San = Repro_sanitizer.Sanitizer in
-  let module Lockdep = Repro_lockdep.Lockdep in
-  let san = San.enabled () and lockdep = Lockdep.enabled () in
-  San.disarm ();
-  Lockdep.disarm ();
-  Fun.protect ~finally:(fun () ->
-      if san then San.arm ();
-      if lockdep then Lockdep.arm ())
-  @@ fun () ->
+  Repro_fault.Arm.(without (sanitizer lor lockdep)) @@ fun () ->
   let failures =
     List.filter_map
       (fun (module D : Repro_dict.Dict.DICT) ->

@@ -28,13 +28,6 @@ let isolated f =
       Stall.reset_handler ())
     f
 
-(* Arm the reclamation sanitizer around [f], restoring it: a Citrus tree
-   created inside retires what it unlinks. *)
-let with_san f =
-  let was = San.enabled () in
-  San.arm ();
-  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f
-
 (* ------------------------------------------------------------------ *)
 (* Fault core *)
 
@@ -104,6 +97,7 @@ let catalogue =
     "bug.urcu.single_flip";
     "bug.qsbr.quiescent_in_section";
     "bug.reclaimer.early_free";
+    "bug.gp.skip_synchronize";
     "bug.citrus.abba_delete";
     "bug.citrus.sync_in_read";
     "bug.citrus.unbalanced_unlock";
@@ -154,6 +148,51 @@ let test_disabled_is_invisible () =
       (* inject on a disarmed point is a no-op, not a crash *)
       Fault.inject p;
       checkb "disarmed point never fires" false (Fault.fires p))
+
+(* ------------------------------------------------------------------ *)
+(* The arming word *)
+
+module Arm = Repro_fault.Arm
+
+(* Each layer's [enabled] reads its own bit and no other. *)
+let test_arm_one_bit_each () =
+  isolated @@ fun () ->
+  let layers =
+    [
+      ("lockdep", Arm.lockdep, Repro_lockdep.Lockdep.enabled);
+      ("sanitizer", Arm.sanitizer, San.enabled);
+      ("trace", Arm.trace, Repro_sync.Trace.enabled);
+      ("fault", Arm.fault, Fault.enabled);
+    ]
+  in
+  Arm.without Arm.(lockdep lor sanitizer lor trace lor fault) @@ fun () ->
+  List.iter
+    (fun (armed, bit, _) ->
+      Arm.with_ bit (fun () ->
+          List.iter
+            (fun (n, _, on) -> checkb (armed ^ " bit: " ^ n) (n = armed) (on ()))
+            layers))
+    layers
+
+exception Boom
+
+(* [with_] restores on return and on a raise, nested calls unwind in
+   order, and a bit it does not own keeps what another writer set. *)
+let test_arm_with_restores () =
+  isolated @@ fun () ->
+  Arm.without Arm.(trace lor lockdep) @@ fun () ->
+  let w0 = Arm.word () in
+  (try Arm.with_ Arm.trace (fun () -> raise Boom) with Boom -> ());
+  checki "restored after a raise" w0 (Arm.word ());
+  Arm.with_ Arm.trace (fun () ->
+      Arm.with_ Arm.(trace lor lockdep) (fun () ->
+          checki "inner" (w0 lor Arm.trace lor Arm.lockdep) (Arm.word ()));
+      checki "inner unwound" (w0 lor Arm.trace) (Arm.word ());
+      Arm.without Arm.trace (fun () -> checki "without" w0 (Arm.word ()));
+      checki "without unwound" (w0 lor Arm.trace) (Arm.word ()));
+  checki "outer unwound" w0 (Arm.word ());
+  Arm.with_ Arm.trace (fun () -> Arm.set Arm.lockdep);
+  checki "foreign bit kept" (w0 lor Arm.lockdep) (Arm.word ())
 
 (* ------------------------------------------------------------------ *)
 (* Reclaimer.drain on an inline-drained reclaimer *)
@@ -316,7 +355,8 @@ let test_torture_fail () =
 
 let test_citrus_faults () =
   isolated @@ fun () ->
-  with_san (fun () ->
+  (* Armed, the tree retires what it unlinks. *)
+  Arm.with_ Arm.sanitizer (fun () ->
       let module C = Repro_citrus.Citrus_int.Epoch in
       Fault.configure ~seed:17L
         [ ("citrus.delete.window", 0.5); ("lock.spin.acquire", 0.05) ];
@@ -366,7 +406,11 @@ let test_mutant_table () =
       | Mutation.Mutant, Some b ->
           checkb (r.name ^ ": registered bug.* point") true
             (String.starts_with ~prefix:"bug." b && Fault.find b <> None)
-      | Mutation.Mutant, None -> ()
+      | Mutation.Mutant, None ->
+          (* Only a model mutant is its own model rather than a point in
+             the shipped code. *)
+          checkb (r.name ^ ": a pointless mutant is a model") true
+            (r.suite = Mutation.Model)
       | Mutation.Control, b ->
           checkb (r.name ^ ": a control arms no bug") true (b = None))
     Mutation.table;
@@ -449,6 +493,13 @@ let () =
           Alcotest.test_case "parse_spec" `Quick test_parse_spec;
           Alcotest.test_case "disabled is invisible" `Quick
             test_disabled_is_invisible;
+        ] );
+      ( "arm",
+        [
+          Alcotest.test_case "each layer reads its own bit" `Quick
+            test_arm_one_bit_each;
+          Alcotest.test_case "with_ restores on raise and in order" `Quick
+            test_arm_with_restores;
         ] );
       ( "defer",
         [ Alcotest.test_case "drain runs chained callbacks" `Quick test_drain ] );

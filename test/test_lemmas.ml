@@ -319,9 +319,7 @@ let test_reclamation_linearizable () =
   let module H = Repro_linchecker.History in
   let module C = Repro_linchecker.Checker in
   let module San = Repro_sanitizer.Sanitizer in
-  let was = San.enabled () in
-  San.arm ();
-  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) @@ fun () ->
+  Repro_fault.Arm.(with_ sanitizer) @@ fun () ->
   for seed = 1 to 5 do
     let violations = San.violations () in
     let t = T.create () in

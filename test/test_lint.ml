@@ -23,6 +23,7 @@ let expected =
     ("seeded-bug switch", "lint_fixtures/bad_bug_switch.ml");
     ("second timed", "lint_fixtures/lib/workload/bad_timed_loop.ml");
     ("second reader-wait", "lint_fixtures/lib/rcu/bad_wait_loop.ml");
+    ("second arming flag", "lint_fixtures/bad_arming_flag.ml");
   ]
 
 let contains_sub s sub =
@@ -107,6 +108,18 @@ let test_bug_switch_shapes () =
            (diagnostics lines)))
     [ "module named Buggy"; "parameter ?mutate_skip" ]
 
+let test_arming_flag_shapes () =
+  (* Rule 11 names both shapes a second arming flag takes. *)
+  let lines, _ = run_lint () in
+  List.iter
+    (fun shape ->
+      Alcotest.(check bool)
+        (shape ^ " reported") true
+        (List.exists
+           (fun l -> contains_sub l "bad_arming_flag.ml" && contains_sub l shape)
+           (diagnostics lines)))
+    [ "enabled reads a flag"; "Metrics.enabled" ]
+
 let test_real_tree_clean () =
   (* The passes hold on the actual library source: `lint lib` from the
      repo root is what `dune build @lint` enforces, and it must be
@@ -139,6 +152,8 @@ let () =
           Alcotest.test_case "no pass cross-fires" `Quick test_no_cross_fire;
           Alcotest.test_case "seeded-bug switch shapes" `Quick
             test_bug_switch_shapes;
+          Alcotest.test_case "arming flag shapes" `Quick
+            test_arming_flag_shapes;
           Alcotest.test_case "real lib/ tree is clean" `Quick
             test_real_tree_clean;
         ] );

@@ -21,13 +21,8 @@ let checki = Alcotest.check Alcotest.int
    lockdep state either way. *)
 let with_lockdep f =
   Lockdep.reset ();
-  let was = Lockdep.enabled () in
-  Lockdep.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      if not was then Lockdep.disarm ();
-      Lockdep.reset ())
-    f
+  Fun.protect ~finally:Lockdep.reset (fun () ->
+      Repro_fault.Arm.(with_ lockdep) f)
 
 let expect kind f =
   match f () with
@@ -170,9 +165,7 @@ let test_unbalanced_read_unlock () =
    as well. *)
 let test_clean_citrus_silent () =
   with_lockdep @@ fun () ->
-  let was = San.enabled () in
-  San.arm ();
-  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) (fun () ->
+  Repro_fault.Arm.(with_ sanitizer) (fun () ->
       let san_violations = San.violations () in
       let t = Tree.create () in
       let domains =
@@ -253,10 +246,9 @@ let test_metrics_rows () =
 let test_trace_records_violation () =
   with_lockdep (fun () ->
       Trace.configure ~capacity:256;
-      Trace.start ();
-      let l = Spinlock.create () in
-      (try Spinlock.release l with Lockdep.Violation _ -> ());
-      Trace.stop ();
+      Repro_fault.Arm.(with_ trace) (fun () ->
+          let l = Spinlock.create () in
+          try Spinlock.release l with Lockdep.Violation _ -> ());
       let events = Trace.dump () in
       checkb "lockdep_violation event recorded" true
         (List.exists

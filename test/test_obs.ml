@@ -6,6 +6,7 @@
 module Stats = Repro_sync.Stats
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
+module Arm = Repro_fault.Arm
 module Json = Repro_obs.Json
 module W = Repro_workload.Workload
 module Runner = Repro_workload.Runner
@@ -81,7 +82,7 @@ let test_timer_max_concurrent () =
 (* --- trace ring buffer --- *)
 
 let test_trace_disabled_records_nothing () =
-  Trace.stop ();
+  Arm.without Arm.trace @@ fun () ->
   Trace.configure ~capacity:64;
   Trace.record Trace.Restart 1;
   checki "nothing recorded while disabled" 0 (Trace.recorded ());
@@ -89,11 +90,10 @@ let test_trace_disabled_records_nothing () =
 
 let test_trace_order_and_fields () =
   Trace.configure ~capacity:16;
-  Trace.start ();
-  for i = 0 to 9 do
-    Trace.record Trace.Restart i
-  done;
-  Trace.stop ();
+  Arm.with_ Arm.trace (fun () ->
+      for i = 0 to 9 do
+        Trace.record Trace.Restart i
+      done);
   let events = Trace.dump () in
   checki "all retained" 10 (List.length events);
   List.iteri
@@ -105,11 +105,10 @@ let test_trace_order_and_fields () =
 
 let test_trace_wraps_keeping_newest () =
   Trace.configure ~capacity:8;
-  Trace.start ();
-  for i = 0 to 10 do
-    Trace.record Trace.Read_enter i
-  done;
-  Trace.stop ();
+  Arm.with_ Arm.trace (fun () ->
+      for i = 0 to 10 do
+        Trace.record Trace.Read_enter i
+      done);
   checki "total recorded counts overwrites" 11 (Trace.recorded ());
   let events = Trace.dump () in
   checki "retention bounded by capacity" 8 (List.length events);
@@ -123,20 +122,17 @@ let test_trace_wraps_keeping_newest () =
 let test_trace_bounded_under_concurrency () =
   let capacity = 1_024 in
   Trace.configure ~capacity;
-  Trace.start ();
   let n_domains = 4 and per_domain = 100_000 in
-  let workers =
-    List.init n_domains (fun _ ->
-        Domain.spawn (fun () ->
-            (* Far more events than capacity: recording must neither block
-               nor grow memory — it overwrites. Completion of this loop IS
-               the non-blocking check. *)
-            for i = 1 to per_domain do
-              Trace.record Trace.Lock_acquire i
-            done))
-  in
-  List.iter Domain.join workers;
-  Trace.stop ();
+  Arm.with_ Arm.trace (fun () ->
+      List.init n_domains (fun _ ->
+          Domain.spawn (fun () ->
+              (* Far more events than capacity: recording must neither
+                 block nor grow memory — it overwrites. Completion of this
+                 loop IS the non-blocking check. *)
+              for i = 1 to per_domain do
+                Trace.record Trace.Lock_acquire i
+              done))
+      |> List.iter Domain.join);
   checki "every record claimed a slot" (n_domains * per_domain)
     (Trace.recorded ());
   checki "retention stays at capacity" capacity (List.length (Trace.dump ()));
@@ -295,24 +291,6 @@ let test_grace_period_exactly_once (module R : Repro_rcu.Rcu.S) () =
     (Stats.Timer.total_ns Metrics.grace_period_ns > 0);
   Metrics.reset ()
 
-let test_metrics_disabled_records_nothing () =
-  Metrics.reset ();
-  Metrics.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled true)
-    (fun () ->
-      let module R = Repro_rcu.Epoch_rcu in
-      let rcu = R.create () in
-      let th = R.register rcu in
-      R.read_lock th;
-      R.read_unlock th;
-      R.synchronize rcu;
-      R.unregister th;
-      checki "no grace period recorded" 0
-        (Stats.Timer.count Metrics.grace_period_ns);
-      checki "no read section recorded" 0 (Stats.read Metrics.rcu_read_sections);
-      checki "implementation count unaffected" 1 (R.grace_periods rcu))
-
 let test_lock_contention_metrics () =
   Metrics.reset ();
   let l = Repro_sync.Spinlock.create () in
@@ -372,8 +350,6 @@ let () =
             (test_grace_period_exactly_once (module Repro_rcu.Urcu));
           Alcotest.test_case "grace periods exact (qsbr)" `Quick
             (test_grace_period_exactly_once (module Repro_rcu.Qsbr));
-          Alcotest.test_case "disabled records nothing" `Quick
-            test_metrics_disabled_records_nothing;
           Alcotest.test_case "lock contention" `Quick
             test_lock_contention_metrics;
         ] );

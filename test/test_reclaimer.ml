@@ -14,10 +14,7 @@ let checki = Alcotest.check Alcotest.int
 
 (* Arm the reclamation sanitizer around [f], restoring it: a Citrus tree
    created inside retires what it unlinks. *)
-let with_san f =
-  let was = San.enabled () in
-  San.arm ();
-  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f
+let with_san f = Repro_fault.Arm.(with_ sanitizer) f
 
 module Behaviour (R : Repro_rcu.Rcu.S) = struct
   module Rec = Reclaimer.Make (R)
@@ -25,12 +22,8 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
   (* stop: every callback ever enqueued runs, across several producers,
      and the sanitizer sees every shadow reach Reclaimed. *)
   let test_stop_drains () =
-    let was = San.enabled () in
-    San.arm ();
     let d = San.create ("reclaimer/" ^ R.name) in
-    Fun.protect
-      ~finally:(fun () -> if not was then San.disarm ())
-      (fun () ->
+    with_san (fun () ->
         let r = R.create () in
         let rc = Rec.create r in
         let freed = Atomic.make 0 in

@@ -13,10 +13,7 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 (* The sanitizer switch is process-global; every test restores it. *)
-let with_san f =
-  let was = San.enabled () in
-  San.arm ();
-  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f
+let with_san f = Repro_fault.Arm.(with_ sanitizer) f
 
 (* ------------------------------------------------------------------ *)
 (* Shadow state machine *)

@@ -388,7 +388,7 @@ let test_stall_watchdog () =
 (* --- Health: watermarks, hysteresis, terminal failure --- *)
 
 let test_health_state_machine () =
-  let hl = Health.create ~shard:0 ~capacity:100 () in
+  let hl = Health.create ~shard:0 ~capacity:100 in
   checkb "starts healthy" true (Health.state hl = Health.Healthy);
   Health.observe_depth hl 74;
   checkb "below high watermark" true (Health.state hl = Health.Healthy);
@@ -410,7 +410,7 @@ let test_health_pressure_latch () =
   (* Reclamation pressure is a latch, not an edge: while it is set,
      depth-based healing is blocked — a drained queue does not make a
      shard healthy while its retired backlog is still behind. *)
-  let hl = Health.create ~shard:0 ~capacity:100 () in
+  let hl = Health.create ~shard:0 ~capacity:100 in
   Health.observe_reclaim_pressure hl 0.5;
   checkb "below high threshold: healthy" true (Health.state hl = Health.Healthy);
   checkb "not latched" false (Health.pressure_latched hl);
@@ -558,13 +558,7 @@ let test_deadline_dead_on_arrival () =
 (* --- Supervisor: crash restart with both validators armed --- *)
 
 let test_supervisor_restart_armed () =
-  Repro_sanitizer.Sanitizer.arm ();
-  Repro_lockdep.Lockdep.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      Repro_lockdep.Lockdep.disarm ();
-      Repro_sanitizer.Sanitizer.disarm ())
-    (fun () ->
+  Repro_fault.Arm.(with_ (sanitizer lor lockdep)) (fun () ->
       (* Each crash trips the shard's breaker; a 1 ns open interval makes
          the re-offer immediate, so the next round's waited write is
          admitted (as a probe) without a retry loop — the property under
@@ -1016,13 +1010,7 @@ let test_chaos_deadline_control_silent () =
 (* --- chaos: quick end-to-end run with both validators armed --- *)
 
 let test_chaos_quick_armed () =
-  Repro_sanitizer.Sanitizer.arm ();
-  Repro_lockdep.Lockdep.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      Repro_lockdep.Lockdep.disarm ();
-      Repro_sanitizer.Sanitizer.disarm ())
-    (fun () ->
+  Repro_fault.Arm.(with_ (sanitizer lor lockdep)) (fun () ->
       let c =
         Chaos.cfg ~shards:2 ~clients:2 ~rate:4000.0 ~duration:0.4
           ~key_range:1024 ~crashes_per_shard:1 ()
@@ -1093,13 +1081,7 @@ let test_serve_armed () =
   (* The serve path under both validators: lockdep checks the queue-lock
      protocol (leaf lock, no tree-lock nesting), the sanitizer shadows
      every reclamation. Any violation raises and fails the test. *)
-  Repro_sanitizer.Sanitizer.arm ();
-  Repro_lockdep.Lockdep.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      Repro_lockdep.Lockdep.disarm ();
-      Repro_sanitizer.Sanitizer.disarm ())
-    (fun () ->
+  Repro_fault.Arm.(with_ (sanitizer lor lockdep)) (fun () ->
       let c =
         Serve.cfg ~shards:2 ~clients:2 ~rate:2000.0 ~duration:0.2
           ~key_range:256 ~write_mode:Serve.Wait ()

@@ -47,13 +47,8 @@ module Lockdep = Repro_lockdep.Lockdep
 
 let with_lockdep f =
   Lockdep.reset ();
-  let was = Lockdep.enabled () in
-  Lockdep.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      if not was then Lockdep.disarm ();
-      Lockdep.reset ())
-    f
+  Fun.protect ~finally:Lockdep.reset (fun () ->
+      Repro_fault.Arm.(with_ lockdep) f)
 
 let test_spinlock_double_unlock_armed () =
   with_lockdep (fun () ->
